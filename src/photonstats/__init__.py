@@ -23,9 +23,7 @@ from .detector import (
     ClickDistribution,
     ConvolutionMatrix,
     LossMatrix,
-    TransferMatrix,
     apply_loss,
-    compose,
     convolution_matrix,
     forward_model,
     loss_matrix,
@@ -60,7 +58,6 @@ from .inversion import (
     em_invert,
     fidelity,
     loss_matrix_inverse,
-    rho_from_csv,
 )
 from .pipeline import run_pipeline
 from .nonclassicality import (
@@ -76,7 +73,6 @@ from .montecarlo import (
     Contaminant,
     ExperimentConfig,
     SimulationOutput,
-    replay,
     run,
 )
 
@@ -93,9 +89,7 @@ __all__ = [
     "ClickDistribution",
     "ConvolutionMatrix",
     "LossMatrix",
-    "TransferMatrix",
     "apply_loss",
-    "compose",
     "convolution_matrix",
     "forward_model",
     "loss_matrix",
@@ -124,7 +118,6 @@ __all__ = [
     "em_invert",
     "fidelity",
     "loss_matrix_inverse",
-    "rho_from_csv",
     "run_pipeline",
     "NonclassicalityReport",
     "b_criterion",
@@ -136,6 +129,5 @@ __all__ = [
     "Contaminant",
     "ExperimentConfig",
     "SimulationOutput",
-    "replay",
     "run",
 ]

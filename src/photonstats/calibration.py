@@ -19,8 +19,6 @@ multiplexed detector.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -32,7 +30,6 @@ from .detector import ClickDistribution
 from .errors import DomainError, InsufficientDataError, ShapeError
 
 DEFAULT_SIGMA_THRESHOLD = 3.0
-CSV_HEADER_HISTOGRAM = ("clicks", "count")
 
 
 class EstimatorOrder(str, Enum):
@@ -75,43 +72,6 @@ class CountHistogram:
                 f"histogram {self.trigger_label!r} holds no counts"
             )
         return ClickDistribution(self.counts / self.total, total_counts=self.total)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "kind": "count_histogram",
-                "trigger_label": self.trigger_label,
-                "counts": [int(c) for c in self.counts],
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "CountHistogram":
-        data = json.loads(text)
-        return cls(
-            np.asarray(data["counts"], dtype=np.int64),
-            trigger_label=str(data.get("trigger_label", "t1")),
-        )
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(CSV_HEADER_HISTOGRAM)
-            for k, c in enumerate(self.counts):
-                writer.writerow([k, int(c)])
-
-    @classmethod
-    def from_csv(cls, path, trigger_label: str = "t1") -> "CountHistogram":
-        # leading '#' lines are provenance comments, not data
-        with open(path, newline="") as fh:
-            rows = [r for r in csv.reader(fh) if r and not r[0].startswith("#")]
-        if not rows or tuple(rows[0]) != CSV_HEADER_HISTOGRAM:
-            raise ShapeError(f"expected header {CSV_HEADER_HISTOGRAM} in {path}")
-        body = rows[1:]
-        counts = np.zeros(len(body), dtype=np.int64)
-        for row in body:
-            counts[int(row[0])] = int(row[1])
-        return cls(counts, trigger_label=trigger_label)
 
 
 @dataclass(frozen=True)
@@ -336,9 +296,6 @@ class TransmissionRatio:
 
     ratio: float
     std_err: float
-
-    def to_dict(self) -> dict:
-        return {"ratio": self.ratio, "std_err": self.std_err}
 
 
 def transmission_ratio(

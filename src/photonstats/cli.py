@@ -19,7 +19,6 @@ environment.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import logging
@@ -32,19 +31,31 @@ import jsonschema
 import numpy as np
 
 from . import __version__
-from .calibration import DEFAULT_SIGMA_THRESHOLD, CountHistogram
+from .artifacts import (
+    B_HEADER,
+    HISTOGRAM_HEADER,
+    OVERLAY_HEADER,
+    RHO_HEADER,
+    count_rows,
+    float_rows,
+    histogram_dict,
+    provenance_block,
+    read_histogram,
+    read_rho,
+    write_csv,
+    write_json,
+)
+from .calibration import DEFAULT_SIGMA_THRESHOLD
 from .detector import convolution_matrix, loss_matrix, uniform_bins
 from .distributions import coherent, from_probs
 from .errors import ConditioningError
-from .inversion import EmOptions, rho_from_csv
+from .inversion import EmOptions
 from .montecarlo import ExperimentConfig, run
 from .nonclassicality import DEFAULT_TOL
 from .nonclassicality import report as witness_report
 from .pipeline import (
-    SCHEMA_VERSION,
     calibrate_histogram,
     invert_histogram,
-    provenance_block,
     run_pipeline,
     witness_tolerance,
 )
@@ -105,22 +116,6 @@ def parse_bins(text: str) -> np.ndarray:
     return np.array([float(x) for x in text.split(",")])
 
 
-def write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
-def write_csv(path: Path, header, rows, seed: int | None) -> None:
-    """All CSV artifacts carry a one-line provenance comment.  No timestamp,
-    so identical runs produce identical bytes."""
-    with open(path, "w", newline="") as fh:
-        fh.write(
-            f"# photonstats {__version__} schema={SCHEMA_VERSION} seed={seed}\n"
-        )
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
 def overlay_rows(rho: np.ndarray, eta: float, bins: np.ndarray, clicks: np.ndarray):
     """Observed click frequencies next to the click curve a Poissonian
     source of the same mean photon number would produce through the same
@@ -148,18 +143,11 @@ def cmd_simulate(args) -> int:
     output = run(config, threads=args.threads)
     for label in sorted(output.histograms):
         hist = output.histograms[label]
-        write_csv(
-            out / f"histogram_{label}.csv",
-            ("clicks", "count"),
-            [(k, int(c)) for k, c in enumerate(hist.counts)],
-            config.seed,
-        )
+        csv_path = out / f"histogram_{label}.csv"
+        write_csv(csv_path, HISTOGRAM_HEADER, count_rows(hist.counts), config.seed)
         write_json(
             out / f"histogram_{label}.json",
-            {
-                "provenance": provenance_block(config.seed),
-                "histogram": json.loads(hist.to_json()),
-            },
+            {"provenance": provenance_block(config.seed), "histogram": histogram_dict(hist)},
         )
     write_json(
         out / "simulation.json",
@@ -178,7 +166,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    hist = CountHistogram.from_csv(args.histogram, trigger_label=args.trigger)
+    hist = read_histogram(args.histogram, trigger_label=args.trigger)
     order = int(args.trigger[1:]) if args.trigger[1:].isdigit() else 1
     bins = parse_bins(args.bins)
     section, notes = calibrate_histogram(hist, bins, order, args.sigma_threshold)
@@ -202,7 +190,7 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_invert(args) -> int:
-    hist = CountHistogram.from_csv(args.histogram)
+    hist = read_histogram(args.histogram)
     bins = parse_bins(args.bins)
     options = EmOptions(tol=args.tol, max_iter=args.max_iter, n_max=args.n_max)
     try:
@@ -212,12 +200,7 @@ def cmd_invert(args) -> int:
             f"{err} (coarser binning or the EM method avoid the solve)"
         ) from err
     out = resolve_out_dir(args)
-    write_csv(
-        out / "rho.csv",
-        ("n", "rho"),
-        [(n, repr(float(x))) for n, x in enumerate(result.rho)],
-        None,
-    )
+    write_csv(out / "rho.csv", RHO_HEADER, float_rows(result.rho), None)
     write_json(
         out / "inversion.json",
         {"provenance": provenance_block(None), "inversion": result.to_dict()},
@@ -231,12 +214,8 @@ def cmd_invert(args) -> int:
     )
     clicks = hist.to_click_distribution().probs
     rho = np.clip(result.rho, 0.0, None)
-    write_csv(
-        out / "overlay.csv",
-        ("clicks", "frequency", "poisson_reference"),
-        overlay_rows(rho / rho.sum(), args.eta, bins, clicks),
-        None,
-    )
+    overlay = overlay_rows(rho / rho.sum(), args.eta, bins, clicks)
+    write_csv(out / "overlay.csv", OVERLAY_HEADER, overlay, None)
     flag = " negativity flagged" if result.negativity_flag else ""
     print(
         f"method={result.method} iterations={result.iterations} "
@@ -248,11 +227,11 @@ def cmd_invert(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    rho = rho_from_csv(args.rho)
+    rho = read_rho(args.rho)
     clicks = None
     total = None
     if args.histogram:
-        hist = CountHistogram.from_csv(args.histogram)
+        hist = read_histogram(args.histogram)
         clicks = hist.to_click_distribution()
         total = hist.total
     if args.tol is not None:
@@ -268,15 +247,10 @@ def cmd_analyze(args) -> int:
         out / "nonclassicality.json",
         {
             "provenance": provenance_block(None),
-            "nonclassicality": json.loads(witness.to_json()),
+            "nonclassicality": witness.to_dict(),
         },
     )
-    write_csv(
-        out / "b_values.csv",
-        ("n", "b"),
-        [(n, repr(float(b))) for n, b in enumerate(witness.b_values)],
-        None,
-    )
+    write_csv(out / "b_values.csv", B_HEADER, float_rows(witness.b_values), None)
     print(
         f"Q_inferred={witness.q_inferred} q_negative={witness.q_negative} "
         f"p_negativity_witnessed={witness.p_negativity_witnessed} -> {out}"
@@ -300,38 +274,21 @@ def cmd_pipeline(args) -> int:
     write_json(out / "report.json", report)
     label = report["histogram"]["trigger_label"]
     counts = np.asarray(report["histogram"]["counts"], dtype=np.int64)
-    write_csv(
-        out / f"histogram_{label}.csv",
-        ("clicks", "count"),
-        [(k, int(c)) for k, c in enumerate(counts)],
-        config.seed,
-    )
-    if report["inversion"] is not None:
-        rho = np.clip(np.asarray(report["inversion"]["rho"]), 0.0, None)
+    write_csv(out / f"histogram_{label}.csv", HISTOGRAM_HEADER, count_rows(counts), config.seed)
+    inversion, witness = report["inversion"], report["nonclassicality"]
+    if inversion is not None:
+        rho = np.clip(np.asarray(inversion["rho"]), 0.0, None)
         rho = rho / rho.sum()
-        write_csv(
-            out / "rho.csv",
-            ("n", "rho"),
-            [(n, repr(float(x))) for n, x in enumerate(report["inversion"]["rho"])],
-            config.seed,
-        )
+        write_csv(out / "rho.csv", RHO_HEADER, float_rows(inversion["rho"]), config.seed)
         clicks = counts / counts.sum()
         write_csv(
             out / "overlay.csv",
-            ("clicks", "frequency", "poisson_reference"),
-            overlay_rows(rho, report["inversion"]["eta"], config.bins, clicks),
+            OVERLAY_HEADER,
+            overlay_rows(rho, inversion["eta"], config.bins, clicks),
             config.seed,
         )
-    if report["nonclassicality"] is not None:
-        write_csv(
-            out / "b_values.csv",
-            ("n", "b"),
-            [
-                (n, repr(float(b)))
-                for n, b in enumerate(report["nonclassicality"]["b_values"])
-            ],
-            config.seed,
-        )
+    if witness is not None:
+        write_csv(out / "b_values.csv", B_HEADER, float_rows(witness["b_values"]), config.seed)
     for line in report["warnings"]:
         print(f"warning: {line}", file=sys.stderr)
     print(f"pipeline report -> {out / 'report.json'}")

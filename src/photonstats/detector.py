@@ -14,8 +14,6 @@ normalization.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass
 
@@ -29,7 +27,6 @@ from .errors import ComplexityError, DomainError, ShapeError
 MAX_EXACT_BINS = 16
 
 BIN_PROB_TOL = 1e-9
-CSV_HEADER_CLICKS = ("clicks", "count")
 
 
 def _comb_table(n_max: int) -> np.ndarray:
@@ -70,19 +67,6 @@ class LossMatrix:
     def n_max(self) -> int:
         return self.matrix.shape[1] - 1
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {"kind": "loss_matrix", "eta": self.eta, "matrix": self.matrix.tolist()}
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "LossMatrix":
-        data = json.loads(text)
-        return cls(np.asarray(data["matrix"], dtype=float), float(data["eta"]))
-
-    def to_csv(self, path) -> None:
-        _matrix_to_csv(self.matrix, path)
-
 
 @dataclass(frozen=True)
 class ConvolutionMatrix:
@@ -102,49 +86,6 @@ class ConvolutionMatrix:
     @property
     def n_max(self) -> int:
         return self.matrix.shape[1] - 1
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "kind": "convolution_matrix",
-                "bin_probs": self.bin_probs.tolist(),
-                "matrix": self.matrix.tolist(),
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "ConvolutionMatrix":
-        data = json.loads(text)
-        return cls(
-            np.asarray(data["matrix"], dtype=float),
-            np.asarray(data["bin_probs"], dtype=float),
-        )
-
-    def to_csv(self, path) -> None:
-        _matrix_to_csv(self.matrix, path)
-
-
-@dataclass(frozen=True)
-class TransferMatrix:
-    """Composite click response C @ L(eta) of the full detection chain."""
-
-    matrix: np.ndarray
-    eta: float
-    bin_probs: np.ndarray
-
-    def __post_init__(self):
-        self.matrix.setflags(write=False)
-        self.bin_probs.setflags(write=False)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "kind": "transfer_matrix",
-                "eta": self.eta,
-                "bin_probs": self.bin_probs.tolist(),
-                "matrix": self.matrix.tolist(),
-            }
-        )
 
 
 @dataclass(frozen=True)
@@ -182,31 +123,6 @@ class ClickDistribution:
         k = np.arange(self.probs.size)
         m = float(k @ self.probs)
         return float((k - m) ** 2 @ self.probs)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "kind": "click_distribution",
-                "probs": [float(p) for p in self.probs],
-                "total_counts": self.total_counts,
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "ClickDistribution":
-        data = json.loads(text)
-        total = data.get("total_counts")
-        return cls(
-            np.asarray(data["probs"], dtype=float),
-            None if total is None else int(total),
-        )
-
-
-def _matrix_to_csv(matrix: np.ndarray, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for row in matrix:
-            writer.writerow([repr(float(x)) for x in row])
 
 
 def uniform_bins(n_bins: int = 8) -> np.ndarray:
@@ -296,15 +212,6 @@ def convolution_matrix(bin_probs, n_max: int = DEFAULT_N_MAX) -> ConvolutionMatr
     else:
         matrix = _general_convolution(probs, n_max)
     return ConvolutionMatrix(matrix, probs)
-
-
-def compose(c: ConvolutionMatrix, l: LossMatrix) -> TransferMatrix:
-    """Combine bin convolution and loss into one click-response matrix."""
-    if c.matrix.shape[1] != l.matrix.shape[0]:
-        raise ShapeError(
-            f"cannot compose: {c.matrix.shape} against {l.matrix.shape}"
-        )
-    return TransferMatrix(c.matrix @ l.matrix, l.eta, c.bin_probs)
 
 
 def forward_model(p: PhotonDistribution, eta: float, bin_probs) -> ClickDistribution:

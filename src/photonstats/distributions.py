@@ -8,8 +8,6 @@ callers can reject configurations where the cutoff is too aggressive.
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,8 +18,6 @@ from .errors import DomainError, ShapeError, TruncationError
 DEFAULT_N_MAX = 20
 DEFAULT_TAIL_BOUND = 1e-6
 NORMALIZATION_TOL = 1e-9
-
-CSV_HEADER = "rho_n"
 
 
 @dataclass(frozen=True)
@@ -65,34 +61,6 @@ class PhotonDistribution:
         n = np.arange(self.probs.size)
         m = float(n @ self.probs)
         return float((n - m) ** 2 @ self.probs)
-
-    def to_json(self) -> str:
-        """Serialize to a JSON array of probabilities."""
-        return json.dumps([float(p) for p in self.probs])
-
-    @classmethod
-    def from_json(cls, text: str) -> "PhotonDistribution":
-        values = json.loads(text)
-        if not isinstance(values, list):
-            raise ShapeError("expected a JSON array of probabilities")
-        return from_probs(np.asarray(values, dtype=float))
-
-    def to_csv(self, path) -> None:
-        """Write a single-column CSV with header ``rho_n``."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow([CSV_HEADER])
-            for p in self.probs:
-                writer.writerow([repr(float(p))])
-
-    @classmethod
-    def from_csv(cls, path) -> "PhotonDistribution":
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        if not rows or rows[0] != [CSV_HEADER]:
-            raise ShapeError(f"expected header [{CSV_HEADER!r}] in {path}")
-        values = [float(row[0]) for row in rows[1:] if row]
-        return from_probs(np.asarray(values, dtype=float))
 
 
 def from_probs(probs, tail_mass: float = 0.0) -> PhotonDistribution:

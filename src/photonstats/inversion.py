@@ -15,10 +15,8 @@ distribution at the source:
 
 from __future__ import annotations
 
-import csv
-import json
-import math
 import warnings
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,8 +37,6 @@ NEGATIVITY_TOL = 1e-9
 # inv(L) entries grow like (1/eta)^n; beyond this corner they overflow
 OVERFLOW_ETA = 0.05
 OVERFLOW_N_MAX = 20
-
-CSV_HEADER_RHO = ("n", "rho")
 
 
 @dataclass(frozen=True)
@@ -108,32 +104,6 @@ class InversionResult:
             "min_entry": self.min_entry,
             "condition_number": self.condition_number,
         }
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(CSV_HEADER_RHO)
-            for n, x in enumerate(self.rho):
-                writer.writerow([n, repr(float(x))])
-
-    def trace_to_json(self) -> str:
-        return json.dumps([float(x) for x in self.log_likelihood_trace])
-
-
-def rho_from_csv(path) -> np.ndarray:
-    """Read photon-number statistics written by InversionResult.to_csv.
-
-    Lines starting with '#' are provenance comments and are skipped.
-    """
-    with open(path, newline="") as fh:
-        rows = [r for r in csv.reader(fh) if r and not r[0].startswith("#")]
-    if not rows or tuple(rows[0]) != CSV_HEADER_RHO:
-        raise ShapeError(f"expected header {CSV_HEADER_RHO} in {path}")
-    body = rows[1:]
-    rho = np.zeros(len(body))
-    for row in body:
-        rho[int(row[0])] = float(row[1])
-    return rho
 
 
 def loss_matrix_inverse(eta: float, n_max: int = DEFAULT_N_MAX) -> np.ndarray:
@@ -295,8 +265,7 @@ def em_invert(
     rho = np.full(dim, 1.0 / dim)
     predicted = response @ rho
     log_like = float(freq_obs @ np.log(predicted[observed]))
-    trace = np.empty(options.max_iter + 1)
-    trace[0] = log_like
+    trace = array("d", [log_like])  # grows: max_iter may be far above the sweeps run
     ratio = np.zeros(n_rows)
     iterations = 0
     converged = False
@@ -312,7 +281,7 @@ def em_invert(
         log_like_new = float(freq_obs @ np.log(predicted[observed]))
         gain = log_like_new - log_like
         rho, log_like = candidate, log_like_new
-        trace[it] = log_like
+        trace.append(log_like)
         iterations = it
         if options.tol > 0.0 and gain <= options.tol * abs(log_like):
             converged = True
@@ -323,7 +292,7 @@ def em_invert(
         eta=eta,
         iterations=iterations,
         converged=converged,
-        log_likelihood_trace=trace[: iterations + 1].copy(),
+        log_likelihood_trace=trace,
         negativity_flag=False,
         min_entry=float(rho.min()),
     )

@@ -16,9 +16,8 @@ no matter how many worker threads share the chunks.
 
 from __future__ import annotations
 
-import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -136,36 +135,6 @@ class SimulationOutput:
     config_echo: ExperimentConfig
     generator: str = GENERATOR
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "histograms": {
-                    label: [int(x) for x in hist.counts]
-                    for label, hist in self.histograms.items()
-                },
-                "herald_count": self.herald_count,
-                "pulses_run": self.pulses_run,
-                "seed": self.seed,
-                "generator": self.generator,
-                "config": self.config_echo.to_dict(),
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "SimulationOutput":
-        raw = json.loads(text)
-        return cls(
-            histograms={
-                label: CountHistogram(np.asarray(counts), trigger_label=label)
-                for label, counts in raw["histograms"].items()
-            },
-            herald_count=raw["herald_count"],
-            pulses_run=raw["pulses_run"],
-            seed=raw["seed"],
-            config_echo=ExperimentConfig.from_dict(raw["config"]),
-            generator=raw["generator"],
-        )
-
 
 def _pair_numbers(rng, q: float, size: int) -> np.ndarray:
     if q == 0.0:
@@ -261,7 +230,3 @@ def run(config: ExperimentConfig, threads: int = 1) -> SimulationOutput:
         config_echo=config,
     )
 
-
-def replay(seed: int, config: ExperimentConfig, threads: int = 1) -> SimulationOutput:
-    """Re-run a configuration under a specific seed."""
-    return run(replace(config, seed=seed), threads=threads)

@@ -17,8 +17,6 @@ and the undercount is exactly why detected Q is milder than inferred Q.
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,8 +26,6 @@ from .distributions import PhotonDistribution
 from .errors import DomainError, ShapeError
 
 DEFAULT_TOL = 1e-9
-
-CSV_HEADER_B = ("n", "b")
 
 
 def _probs_of(p) -> np.ndarray:
@@ -141,38 +137,16 @@ class NonclassicalityReport:
         b.setflags(write=False)
         object.__setattr__(self, "b_values", b)
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "q_detected": self.q_detected,
-                "q_inferred": self.q_inferred,
-                "b_values": [float(x) for x in self.b_values],
-                "q_negative": self.q_negative,
-                "p_negativity_witnessed": self.p_negativity_witnessed,
-                "tol": self.tol,
-                "notes": list(self.notes),
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "NonclassicalityReport":
-        raw = json.loads(text)
-        return cls(
-            q_detected=raw["q_detected"],
-            q_inferred=raw["q_inferred"],
-            b_values=np.asarray(raw["b_values"], dtype=float),
-            q_negative=raw["q_negative"],
-            p_negativity_witnessed=raw["p_negativity_witnessed"],
-            tol=raw["tol"],
-            notes=tuple(raw.get("notes", ())),
-        )
-
-    def b_to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(CSV_HEADER_B)
-            for n, x in enumerate(self.b_values):
-                writer.writerow([n, repr(float(x))])
+    def to_dict(self) -> dict:
+        return {
+            "q_detected": self.q_detected,
+            "q_inferred": self.q_inferred,
+            "b_values": [float(x) for x in self.b_values],
+            "q_negative": self.q_negative,
+            "p_negativity_witnessed": self.p_negativity_witnessed,
+            "tol": self.tol,
+            "notes": list(self.notes),
+        }
 
 
 def report(

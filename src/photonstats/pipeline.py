@@ -6,19 +6,18 @@ being inverted, never supplied from outside.  Each stage's numbers land
 in one report dictionary; every entry is traceable to a module output.
 
 Stage warnings (inconsistent estimators, negativity, empty heralds,
-non-convergence) are collected as strings rather than raised, so a run
-always produces a complete report; the CLI decides how strictly to treat
-them.
+non-convergence, an ill-conditioned direct solve) are collected as strings
+rather than raised, so a run always produces a complete report; the CLI
+decides how strictly to treat them.
 """
 
 from __future__ import annotations
 
-import datetime
 import warnings
 
 import numpy as np
 
-from . import __version__
+from .artifacts import SCHEMA_VERSION, provenance_block
 from .calibration import (
     DEFAULT_SIGMA_THRESHOLD,
     CountHistogram,
@@ -30,7 +29,7 @@ from .calibration import (
 )
 from .detector import convolution_matrix
 from .distributions import fock, from_probs
-from .errors import DomainError, InsufficientDataError
+from .errors import ConditioningError, DomainError, InsufficientDataError
 from .heralding import HeraldConfig, TriggerKind
 from .inversion import (
     EmOptions,
@@ -39,24 +38,9 @@ from .inversion import (
     em_invert,
     fidelity,
 )
-from .montecarlo import GENERATOR, ExperimentConfig, run
+from .montecarlo import ExperimentConfig, run
 from .nonclassicality import b_std_err, mandel_q_std_err
 from .nonclassicality import report as witness_report
-
-SCHEMA_VERSION = "1"
-
-
-def provenance_block(seed: int | None) -> dict:
-    """Provenance carried by every artifact; the timestamp is the only
-    field that varies between identical runs.  seed is None for commands
-    that consume files instead of running the simulator."""
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "tool_version": __version__,
-        "generator": GENERATOR,
-        "seed": None if seed is None else int(seed),
-        "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-    }
 
 
 def target_photon_number(herald: HeraldConfig) -> int:
@@ -209,7 +193,13 @@ def run_pipeline(
     eta = efficiency["eta_for_inversion"]
     if eta is None:
         return report
-    inv = invert_histogram(hist, eta, config.bins, method, em_options)
+    try:
+        inv = invert_histogram(hist, eta, config.bins, method, em_options)
+    except ConditioningError as err:
+        report["warnings"].append(
+            f"reconstruction refused ({err}); the EM method avoids the solve"
+        )
+        return report
     target_dist = fock(target, n_max=inv.rho.size - 1) if target < inv.rho.size else None
     inv_section = inv.to_dict()
     inv_section["target_photon_number"] = target
@@ -228,16 +218,8 @@ def run_pipeline(
     rho = rho / rho.sum()
     tol = witness_tolerance(rho, output.herald_count)
     witness = witness_report(from_probs(rho), clicks, tol)
-    nc_section = {
-        "q_detected": witness.q_detected,
-        "q_inferred": witness.q_inferred,
-        "b_values": [float(x) for x in witness.b_values],
-        "q_negative": witness.q_negative,
-        "p_negativity_witnessed": witness.p_negativity_witnessed,
-        "tol": witness.tol,
+    report["nonclassicality"] = witness.to_dict() | {
         "tol_basis": "3 sigma, delta method on the herald count",
         "detected_mean": float(clicks.mean()),
-        "notes": list(witness.notes),
     }
-    report["nonclassicality"] = nc_section
     return report

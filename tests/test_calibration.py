@@ -179,20 +179,6 @@ def test_bootstrap_matches_delta_method():
     assert boot == pytest.approx(delta, rel=0.2)
 
 
-def test_histogram_serialization(tmp_path):
-    hist = CountHistogram(np.array([5, 3, 1]), trigger_label="t2")
-    back = CountHistogram.from_json(hist.to_json())
-    assert np.array_equal(back.counts, hist.counts)
-    assert back.trigger_label == "t2"
-    path = tmp_path / "hist.csv"
-    hist.to_csv(path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "clicks,count"
-    assert lines[1] == "0,5"
-    back_csv = CountHistogram.from_csv(path, trigger_label="t2")
-    assert np.array_equal(back_csv.counts, hist.counts)
-
-
 def test_histogram_validation_and_empty():
     with pytest.raises(DomainError):
         CountHistogram(np.array([1, -2]))

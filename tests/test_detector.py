@@ -8,7 +8,6 @@ import pytest
 
 from photonstats import (
     apply_loss,
-    compose,
     convolution_matrix,
     fock,
     forward_model,
@@ -17,8 +16,8 @@ from photonstats import (
     tms_marginal,
     uniform_bins,
 )
-from photonstats.detector import ClickDistribution, ConvolutionMatrix, LossMatrix
-from photonstats.errors import ComplexityError, DomainError, ShapeError
+from photonstats.detector import ClickDistribution
+from photonstats.errors import ComplexityError, DomainError
 
 
 def brute_force_click_probs(bin_probs, n):
@@ -154,17 +153,10 @@ def test_compose_matches_forward_model():
     p = tms_marginal(0.35, n_max=12)
     cm = convolution_matrix(uniform_bins(8), n_max=12)
     lm = loss_matrix(0.6, n_max=12)
-    tm = compose(cm, lm)
+    chain = cm.matrix @ lm.matrix
     direct = forward_model(p, 0.6, uniform_bins(8))
-    assert np.allclose(tm.matrix @ p.probs, direct.probs, atol=1e-14)
-    assert np.allclose(tm.matrix.sum(axis=0), 1.0, atol=1e-12)
-
-
-def test_compose_shape_mismatch():
-    cm = convolution_matrix(uniform_bins(4), n_max=6)
-    lm = loss_matrix(0.5, n_max=8)
-    with pytest.raises(ShapeError):
-        compose(cm, lm)
+    assert np.allclose(chain @ p.probs, direct.probs, atol=1e-14)
+    assert np.allclose(chain.sum(axis=0), 1.0, atol=1e-12)
 
 
 def test_click_distribution_validation():
@@ -173,28 +165,6 @@ def test_click_distribution_validation():
     d = ClickDistribution(np.array([0.5, 0.5]), total_counts=100)
     assert d.total_counts == 100
     assert d.mean() == pytest.approx(0.5)
-
-
-def test_matrix_serialization_round_trips(tmp_path):
-    cm = convolution_matrix(uniform_bins(4), n_max=6)
-    back = ConvolutionMatrix.from_json(cm.to_json())
-    assert np.array_equal(back.matrix, cm.matrix)
-    lm = loss_matrix(0.31, 6)
-    back_l = LossMatrix.from_json(lm.to_json())
-    assert back_l.eta == lm.eta
-    assert np.array_equal(back_l.matrix, lm.matrix)
-    path = tmp_path / "conv.csv"
-    cm.to_csv(path)
-    rows = path.read_text().strip().splitlines()
-    assert len(rows) == 5
-    assert float(rows[0].split(",")[0]) == 1.0
-
-
-def test_click_json_round_trip():
-    clicks = forward_model(fock(1, n_max=4), 0.5, uniform_bins(4))
-    back = ClickDistribution.from_json(clicks.to_json())
-    assert np.allclose(back.probs, clicks.probs, atol=1e-15)
-    assert back.total_counts is None
 
 
 def test_from_probs_preserves_vector():

@@ -16,6 +16,7 @@ from photonstats import (
     loss_matrix,
     uniform_bins,
 )
+from photonstats.artifacts import RHO_HEADER, float_rows, read_rho, write_csv
 from photonstats.calibration import CountHistogram
 from photonstats.errors import (
     ConditioningError,
@@ -25,7 +26,6 @@ from photonstats.errors import (
 )
 from photonstats.inversion import (
     EmOptions,
-    InversionResult,
     deconvolve_clicks,
     direct_invert,
     em_invert,
@@ -228,6 +228,15 @@ def test_em_accepts_histogram_clicks_and_vector():
     assert np.allclose(a.rho, b.rho, atol=1e-12)
 
 
+def test_em_trace_grows_with_sweeps_not_budget():
+    # a budget of 10^12 sweeps must not preallocate 10^12 trace entries
+    c = convolution_matrix(uniform_bins(4), n_max=6)
+    clicks = forward_model(fock(1, n_max=6), 0.5, uniform_bins(4))
+    result = em_invert(clicks, 0.5, c, EmOptions(max_iter=10**12, n_max=6))
+    assert result.converged
+    assert result.log_likelihood_trace.size == result.iterations + 1
+
+
 def test_em_rejects_impossible_clicks():
     c = convolution_matrix(uniform_bins(4), n_max=2)
     freq = np.array([0.5, 0.3, 0.1, 0.1, 0.0])
@@ -267,9 +276,10 @@ def test_result_serialization(tmp_path):
     d = result.to_dict()
     assert d["method"] == "em"
     assert d["converged"] is True
+    assert d["log_likelihood_final"] == result.log_likelihood_trace[-1]
     path = tmp_path / "rho.csv"
-    result.to_csv(path)
+    write_csv(path, RHO_HEADER, float_rows(result.rho), None)
     lines = path.read_text().strip().splitlines()
-    assert lines[0] == "n,rho"
-    assert len(lines) == result.rho.size + 1
-    assert isinstance(InversionResult.trace_to_json(result), str)
+    assert lines[1] == "n,rho"
+    assert len(lines) == result.rho.size + 2
+    assert np.array_equal(read_rho(path), result.rho)

@@ -1,5 +1,6 @@
 """Unit tests for the Mandel Q and B(n) witnesses."""
 
+import json
 import math
 
 import numpy as np
@@ -16,9 +17,9 @@ from photonstats import (
     tms_marginal,
     uniform_bins,
 )
+from photonstats.artifacts import B_HEADER, float_rows, write_csv
 from photonstats.errors import DomainError, ShapeError
 from photonstats.nonclassicality import (
-    NonclassicalityReport,
     b_criterion,
     b_std_err,
     b_sweep,
@@ -202,14 +203,14 @@ def test_report_empirical_tolerance_masks_noise():
 def test_report_serialization_round_trip(tmp_path):
     rho = from_probs([0.03, 0.97, 0.0, 0.0])
     rep = report(rho, forward_model(rho, 0.5, uniform_bins(4)))
-    clone = NonclassicalityReport.from_json(rep.to_json())
-    assert clone.q_inferred == rep.q_inferred
-    assert clone.q_detected == rep.q_detected
-    assert np.array_equal(clone.b_values, rep.b_values)
-    assert clone.q_negative == rep.q_negative
+    clone = json.loads(json.dumps(rep.to_dict()))
+    assert clone["q_inferred"] == rep.q_inferred
+    assert clone["q_detected"] == rep.q_detected
+    assert np.array_equal(clone["b_values"], rep.b_values)
+    assert clone["q_negative"] == rep.q_negative
     path = tmp_path / "b.csv"
-    rep.b_to_csv(path)
+    write_csv(path, B_HEADER, float_rows(rep.b_values), None)
     rows = path.read_text().strip().splitlines()
-    assert rows[0] == "n,b"
-    assert len(rows) == 1 + rep.b_values.size
-    assert float(rows[1].split(",")[1]) == rep.b_values[0]
+    assert rows[1] == "n,b"
+    assert len(rows) == 2 + rep.b_values.size
+    assert float(rows[2].split(",")[1]) == rep.b_values[0]

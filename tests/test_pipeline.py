@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from photonstats import cli
+from photonstats.artifacts import read_histogram, read_rho
 from photonstats.calibration import CountHistogram
 from photonstats.heralding import HeraldConfig, TriggerKind
-from photonstats.inversion import rho_from_csv
 from photonstats.montecarlo import ExperimentConfig
 from photonstats.pipeline import (
     run_pipeline,
@@ -124,7 +124,7 @@ def test_cli_simulate_writes_artifacts(tmp_path):
     cfg = config_file(tmp_path)
     out = tmp_path / "out"
     assert cli.main(["simulate", "--config", str(cfg), "--out-dir", str(out)]) == 0
-    hist = CountHistogram.from_csv(out / "histogram_t1.csv")
+    hist = read_histogram(out / "histogram_t1.csv")
     assert hist.total > 0
     meta = json.loads((out / "simulation.json").read_text())
     assert meta["provenance"]["seed"] == 11
@@ -166,7 +166,7 @@ def test_cli_invert_then_analyze_chain(tmp_path):
     assert cli.main(
         ["invert", "--histogram", hist_file, "--eta", "0.373", "--out-dir", str(out)]
     ) == 0
-    rho = rho_from_csv(out / "rho.csv")
+    rho = read_rho(out / "rho.csv")
     assert rho.sum() == pytest.approx(1.0, abs=1e-9)
     trace = json.loads((out / "likelihood_trace.json").read_text())
     assert len(trace["log_likelihood"]) >= 2
@@ -246,6 +246,26 @@ def test_cli_pipeline_strict_escalates_empty_heralds(tmp_path):
     ) == 1
 
 
+def test_pipeline_direct_refusal_is_a_warning(tmp_path):
+    # eta_s = 0.02 leaves the direct solve with condition number ~5e18
+    low = dict(
+        parametric_gain=0.14,
+        herald=HeraldConfig(kind=TriggerKind.SINGLE_APD, eta_trigger=0.9),
+        eta_signal=0.02,
+        pulses=400_000,
+        seed=1,
+    )
+    report = run_pipeline(single_config(**low), method="direct")
+    assert report["efficiency"]["eta_for_inversion"] is not None
+    assert report["inversion"] is None
+    assert report["nonclassicality"] is None
+    assert any("refused" in w for w in report["warnings"])
+    cfg = config_file(tmp_path, **low)
+    argv = ["pipeline", "--config", str(cfg), "--method", "direct", "--out-dir", str(tmp_path)]
+    assert cli.main(argv) == 0
+    assert cli.main(argv + ["--strict"]) == 1
+
+
 def test_cli_seed_override(tmp_path):
     cfg = config_file(tmp_path)
     out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -276,7 +296,7 @@ def test_cli_bins_accepts_probability_list(tmp_path):
          "--bins", "0.4,0.3,0.2,0.1", "--n-max", "4", "--out-dir", str(out)]
     )
     assert code == 0
-    assert rho_from_csv(out / "rho.csv").size == 5
+    assert read_rho(out / "rho.csv").size == 5
 
 
 def test_cli_missing_subcommand_is_usage_error():
@@ -289,5 +309,5 @@ def test_histogram_csv_comment_lines_round_trip(tmp_path):
     hist = CountHistogram(np.array([5, 3, 1], dtype=np.int64), trigger_label="t1")
     path = tmp_path / "h.csv"
     path.write_text("# provenance comment\nclicks,count\n0,5\n1,3\n2,1\n")
-    loaded = CountHistogram.from_csv(path)
+    loaded = read_histogram(path)
     assert np.array_equal(loaded.counts, hist.counts)
