@@ -227,7 +227,10 @@ def cmd_invert(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    rho = read_rho(args.rho)
+    rho = np.clip(read_rho(args.rho), 0.0, None)
+    if rho.sum() <= 0.0:
+        raise UsageError(f"{args.rho}: rho has no positive entry")
+    rho = rho / rho.sum()
     clicks = None
     total = None
     if args.histogram:
@@ -237,11 +240,10 @@ def cmd_analyze(args) -> int:
     if args.tol is not None:
         tol = args.tol
     elif total is not None:
-        tol = witness_tolerance(np.clip(rho, 0.0, None), total)
+        tol = witness_tolerance(rho, total)
     else:
         tol = DEFAULT_TOL
-    rho_clipped = np.clip(rho, 0.0, None)
-    witness = witness_report(from_probs(rho_clipped / rho_clipped.sum()), clicks, tol)
+    witness = witness_report(from_probs(rho), clicks, tol)
     out = resolve_out_dir(args)
     write_json(
         out / "nonclassicality.json",

@@ -7,8 +7,10 @@ mapped to a click-number distribution by
     p_click = C @ L(eta) @ rho
 
 where L(eta) is binomial thinning and C collects the combinatorics of n
-ideal photons landing in N bins of which exactly k become occupied.  Both
-matrices are column-stochastic, so the forward model preserves
+ideal photons landing in N bins of which exactly k become occupied.  C is
+built by one recursion that adds a bin at a time; every term it sums is
+nonnegative, so equal and unequal bins of any count share one exact path.
+Both matrices are column-stochastic, so the forward model preserves
 normalization.
 """
 
@@ -20,17 +22,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import PhotonDistribution, DEFAULT_N_MAX, from_probs
-from .errors import ComplexityError, DomainError, ShapeError
-
-# Exact subset enumeration is exponential in the bin count; above this many
-# non-uniform bins we refuse rather than silently crawl.
-MAX_EXACT_BINS = 16
+from .errors import DomainError, ShapeError
 
 BIN_PROB_TOL = 1e-9
 
 
 def _comb_table(n_max: int) -> np.ndarray:
     """Binomial coefficients C(n, m) as floats, exact integer arithmetic."""
+    try:
+        float(math.comb(n_max, n_max // 2))  # the largest entry
+    except OverflowError:
+        raise DomainError(
+            f"photon-number cutoff {n_max} too large: binomial coefficients overflow a float"
+        ) from None
     table = np.zeros((n_max + 1, n_max + 1))
     for n in range(n_max + 1):
         for m in range(n + 1):
@@ -103,6 +107,8 @@ class ClickDistribution:
         probs = np.asarray(self.probs, dtype=float)
         if probs.ndim != 1 or probs.size == 0:
             raise ShapeError("click probabilities must be a nonempty 1-D vector")
+        if not np.all(np.isfinite(probs)):
+            raise DomainError("non-finite click probability")
         if np.min(probs) < -BIN_PROB_TOL:
             raise DomainError(f"negative click probability {np.min(probs):.3e}")
         total = probs.sum()
@@ -136,6 +142,8 @@ def _validate_bin_probs(bin_probs) -> np.ndarray:
     probs = np.asarray(bin_probs, dtype=float)
     if probs.ndim != 1 or probs.size == 0:
         raise ShapeError("bin probabilities must be a nonempty 1-D vector")
+    if not np.all(np.isfinite(probs)):
+        raise DomainError("non-finite bin probability")
     if np.min(probs) < 0:
         raise DomainError(f"negative bin probability {np.min(probs):.3e}")
     total = probs.sum()
@@ -158,60 +166,30 @@ def apply_loss(p: PhotonDistribution, eta: float) -> PhotonDistribution:
     return from_probs(lm.matrix @ p.probs, p.tail_mass)
 
 
-def _uniform_convolution(n_bins: int, n_max: int) -> np.ndarray:
-    # Closed form: inclusion-exclusion over which of the k occupied bins
-    # actually receive photons, all bins equally likely.
-    out = np.zeros((n_bins + 1, n_max + 1))
-    for k in range(n_bins + 1):
-        choose_bins = math.comb(n_bins, k)
-        for n in range(n_max + 1):
-            terms = [
-                (-1.0) ** j * math.comb(k, j) * ((k - j) / n_bins) ** n
-                for j in range(k + 1)
-            ]
-            out[k, n] = choose_bins * math.fsum(terms)
-    return out
-
-
-def _general_convolution(bin_probs: np.ndarray, n_max: int) -> np.ndarray:
-    # Subset inclusion-exclusion: P(occupied set = T) expands over S <= T,
-    # and every subset S contributes to C(N-|S|, k-|S|) supersets of size k.
-    n_bins = bin_probs.size
-    if n_bins > MAX_EXACT_BINS:
-        raise ComplexityError(
-            f"exact enumeration over 2^{n_bins} subsets refused; "
-            f"at most {MAX_EXACT_BINS} non-uniform bins are supported"
-        )
-    n_pow = np.arange(n_max + 1)
-    out = np.zeros((n_bins + 1, n_max + 1))
-    for subset in range(1 << n_bins):
-        size = subset.bit_count()
-        q = bin_probs[[i for i in range(n_bins) if subset >> i & 1]].sum()
-        powers = q**n_pow  # 0**0 == 1 covers the empty subset at n = 0
-        for k in range(size, n_bins + 1):
-            coeff = (-1.0) ** (k - size) * math.comb(n_bins - size, k - size)
-            out[k] += coeff * powers
-    return out
-
-
 def convolution_matrix(bin_probs, n_max: int = DEFAULT_N_MAX) -> ConvolutionMatrix:
     """Occupied-bin-count response of a bank of binary detector bins.
 
     entry(k, n) is the probability that n photons, each independently routed
     to bin i with probability bin_probs[i], occupy exactly k distinct bins.
+    Any number of bins, equal or not, takes the same exact path.
 
     Args:
-        bin_probs: Routing probabilities of the bins; must sum to 1.  Equal
-            entries trigger a fast closed form with no size limit; unequal
-            entries use exact subset enumeration, limited to 16 bins.
+        bin_probs: Routing probabilities of the bins; must sum to 1.
         n_max: Largest photon number (column index) represented.
     """
     probs = _validate_bin_probs(bin_probs)
-    if np.all(probs == probs[0]):
-        matrix = _uniform_convolution(probs.size, n_max)
-    else:
-        matrix = _general_convolution(probs, n_max)
-    return ConvolutionMatrix(matrix, probs)
+    comb = _comb_table(n_max)
+    photons = np.arange(n_max + 1)
+    taken = np.clip(np.subtract.outer(photons, photons), 0, None)
+    # out[k, n]: n photons all land in the bins added so far and fill k of
+    # them.  A new bin of probability p takes j >= 1 of the n photons with
+    # weight C(n, j) p^j and adds one occupied bin; no term is negative.
+    out = np.zeros((probs.size + 1, n_max + 1))
+    out[0, 0] = 1.0
+    for p in probs:
+        step = np.tril(comb * p**taken, -1)
+        out[1:] += out[:-1] @ step.T
+    return ConvolutionMatrix(out, probs)
 
 
 def forward_model(p: PhotonDistribution, eta: float, bin_probs) -> ClickDistribution:

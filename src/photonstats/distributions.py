@@ -37,6 +37,8 @@ class PhotonDistribution:
         probs = np.asarray(self.probs, dtype=float)
         if probs.ndim != 1 or probs.size == 0:
             raise ShapeError("probs must be a nonempty 1-D vector")
+        if not np.all(np.isfinite(probs)):
+            raise DomainError("non-finite probability entry in distribution")
         if np.min(probs) < -NORMALIZATION_TOL:
             raise DomainError(
                 f"negative probability entry {np.min(probs):.3e} in distribution"

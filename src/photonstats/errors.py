@@ -21,9 +21,5 @@ class ConditioningError(RuntimeError):
     """A linear solve was refused because the system is too ill-conditioned."""
 
 
-class ComplexityError(ValueError):
-    """An exact combinatorial computation would be intractably large."""
-
-
 class QuasiDistributionWarning(UserWarning):
     """A vector meant as a probability distribution carries negative entries."""

@@ -78,14 +78,26 @@ def test_cli_malformed_csv_exits_2(tmp_path, capsys, command, body):
         (["calibrate", "--histogram"], "clicks,count\n0,9223372036854775808\n"),
         (["invert", "--eta", "0.5", "--histogram"], "clicks,count\n0,9223372036854775808\n"),
         (["analyze", "--rho"], "n,rho\n0,inf\n1,0.5\n"),
+        (["analyze", "--rho"], "n,rho\n0,0\n1,-0.5\n"),
+        (
+            ["invert", "--eta", "0.5", "--n-max", "1100", "--histogram"],
+            "clicks,count\n" + "".join(f"{k},5\n" for k in range(9)),
+        ),
     ],
-    ids=["calibrate_count_overflow", "invert_count_overflow", "analyze_infinite_rho"],
+    ids=[
+        "calibrate_count_overflow",
+        "invert_count_overflow",
+        "analyze_infinite_rho",
+        "analyze_no_positive_mass",
+        "invert_n_max_overflows_binomials",
+    ],
 )
 def test_cli_out_of_range_values_exit_2(tmp_path, capsys, argv, text):
     path = tmp_path / "input.csv"
     path.write_text(text)
     assert cli.main(argv + [str(path), "--out-dir", str(tmp_path / "out")]) == 2
-    assert capsys.readouterr().err.startswith("photonstats: error:")
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("photonstats: error:")
 
 
 FIELD = st.one_of(

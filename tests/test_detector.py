@@ -17,7 +17,14 @@ from photonstats import (
     uniform_bins,
 )
 from photonstats.detector import ClickDistribution
-from photonstats.errors import ComplexityError, DomainError
+from photonstats.errors import DomainError
+
+
+
+def fiber_loop_bins(n_bins):
+    """Routing of a fiber-loop multiplexer that falls off by 7 % per bin."""
+    weights = 0.93 ** np.arange(n_bins)
+    return weights / weights.sum()
 
 
 def brute_force_click_probs(bin_probs, n):
@@ -40,9 +47,13 @@ def test_convolution_matches_enumeration_uniform(n_bins, n):
     assert np.allclose(cm.matrix[:, n], expected, atol=1e-12)
 
 
-@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 6])
-def test_convolution_matches_enumeration_skewed_bins(n):
-    bins = [0.4, 0.3, 0.2, 0.1]
+@pytest.mark.parametrize(
+    "bins, n",
+    [([0.4, 0.3, 0.2, 0.1], n) for n in range(7)]
+    + [(list(fiber_loop_bins(17)), n) for n in range(4)],
+    ids=[str(n) for n in range(7)] + [f"fiber17-{n}" for n in range(4)],
+)
+def test_convolution_matches_enumeration_skewed_bins(bins, n):
     cm = convolution_matrix(bins, n_max=6)
     expected = brute_force_click_probs(bins, n)
     assert np.allclose(cm.matrix[:, n], expected, atol=1e-12)
@@ -70,21 +81,26 @@ def test_convolution_impossible_click_counts_vanish():
                 assert cm.matrix[k, n] == 0.0
 
 
-def test_convolution_agrees_between_code_paths():
-    # the closed form used for equal bins against the subset enumeration
-    from photonstats.detector import _general_convolution, _uniform_convolution
-
-    probs = uniform_bins(5)
-    assert np.allclose(
-        _uniform_convolution(5, 12), _general_convolution(probs, 12), atol=1e-13
-    )
+def test_convolution_unequal_bins_have_no_cancellation_error():
+    # an inclusion-exclusion over bin subsets dips to -6.6e-12 here
+    cm = convolution_matrix(fiber_loop_bins(16), n_max=32)
+    assert np.min(cm.matrix) >= 0.0
+    assert np.max(np.abs(cm.matrix.sum(axis=0) - 1.0)) <= 1e-14
 
 
-def test_convolution_refuses_large_nonuniform():
-    bins = np.ones(17)
-    bins[0] = 2.0
-    with pytest.raises(ComplexityError):
-        convolution_matrix(bins / bins.sum(), n_max=4)
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: convolution_matrix([np.nan, np.nan], n_max=4),
+        lambda: convolution_matrix([np.inf, 0.5], n_max=4),
+        lambda: ClickDistribution(np.array([np.nan, np.nan])),
+        lambda: from_probs([np.nan, 1.0]),
+    ],
+    ids=["nan_bins", "infinite_bin", "nan_clicks", "nan_photons"],
+)
+def test_validators_reject_non_finite_entries(build):
+    with pytest.raises(DomainError, match="non-finite"):
+        build()
 
 
 def test_uniform_bins_validation():

@@ -146,6 +146,17 @@ def test_cli_schema_violation_reports_json_pointer(tmp_path, capsys):
     assert "/herald/eta_trigger" in err
 
 
+def test_cli_simulate_rejects_nan_bins(tmp_path, capsys):
+    doc = single_config().to_dict()
+    doc["bins"] = [float("nan"), float("nan")]  # json.load accepts NaN
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code = cli.main(["simulate", "--config", str(bad), "--out-dir", str(tmp_path / "out")])
+    err = capsys.readouterr().err.strip().splitlines()
+    assert code == 2
+    assert len(err) == 1 and "non-finite" in err[0]
+
+
 def test_cli_invert_rejects_eta_zero(tmp_path, capsys):
     cfg = config_file(tmp_path)
     out = tmp_path / "out"
@@ -180,6 +191,21 @@ def test_cli_invert_then_analyze_chain(tmp_path):
     assert nc["q_inferred"] < 0
     b_lines = (out / "b_values.csv").read_text().splitlines()
     assert b_lines[1] == "n,b"
+
+
+def test_cli_analyze_tolerance_uses_normalized_rho(tmp_path):
+    rho_file, hist_file = tmp_path / "rho.csv", tmp_path / "h.csv"
+    rho_file.write_text("n,rho\n0,0.1\n1,0.8\n2,0.15\n3,-0.05\n")
+    counts = [6000, 3500, 400, 100, 0, 0, 0, 0, 0]
+    hist_file.write_text("clicks,count\n" + "".join(f"{k},{c}\n" for k, c in enumerate(counts)))
+    out = tmp_path / "out"
+    assert cli.main(
+        ["analyze", "--rho", str(rho_file), "--histogram", str(hist_file),
+         "--out-dir", str(out)]
+    ) == 0
+    nc = json.loads((out / "nonclassicality.json").read_text())["nonclassicality"]
+    rho = np.array([0.1, 0.8, 0.15, 0.0]) / 1.05
+    assert nc["tol"] == pytest.approx(witness_tolerance(rho, 10_000), rel=1e-12)
 
 
 def test_cli_calibrate_single_trigger(tmp_path):
@@ -264,6 +290,23 @@ def test_pipeline_direct_refusal_is_a_warning(tmp_path):
     argv = ["pipeline", "--config", str(cfg), "--method", "direct", "--out-dir", str(tmp_path)]
     assert cli.main(argv) == 0
     assert cli.main(argv + ["--strict"]) == 1
+
+
+def test_cli_pipeline_strict_on_unequal_bins(tmp_path, capsys):
+    # 16 fiber-loop bins with routing falling 7 % per bin; a convolution
+    # matrix with roundoff of either sign fakes a quasi-distribution dip here
+    bins = 0.93 ** np.arange(16)
+    cfg = config_file(
+        tmp_path,
+        parametric_gain=0.14,
+        herald=HeraldConfig(kind=TriggerKind.SINGLE_APD, eta_trigger=0.9),
+        bins=bins / bins.sum(),
+        pulses=400_000,
+        seed=3,
+    )
+    argv = ["pipeline", "--config", str(cfg), "--out-dir", str(tmp_path), "--strict"]
+    assert cli.main(argv) == 0
+    assert "deconvolution" not in capsys.readouterr().err
 
 
 def test_cli_seed_override(tmp_path):
