@@ -237,6 +237,8 @@ def consistency_check(
     combined standard errors.  Disagreement beyond that signals a violated
     model assumption (e.g. uncorrelated background masquerading as pairs).
     """
+    if not sigma_threshold >= 0.0:
+        raise DomainError(f"sigma threshold must be nonnegative, got {sigma_threshold}")
     defined = [e for e in estimates if e.defined]
     if len(defined) < 2:
         raise InsufficientDataError(

@@ -24,10 +24,8 @@ import json
 import logging
 import os
 import sys
-from importlib import resources
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 
 from . import __version__
@@ -63,39 +61,14 @@ from .pipeline import (
 ENV_OUT_DIR = "PHOTONSTATS_OUT_DIR"
 ENV_LOG_LEVEL = "PHOTONSTATS_LOG_LEVEL"
 
-CONFIG_SCHEMA_FILE = "experiment_config.schema.json"
-
 
 class UsageError(Exception):
     """Bad invocation or input; maps to exit code 2."""
 
 
-def _schema() -> dict:
-    text = (
-        resources.files("photonstats.schemas").joinpath(CONFIG_SCHEMA_FILE).read_text()
-    )
-    return json.loads(text)
-
-
-def config_schema_errors(doc) -> list[str]:
-    """Validate a config document; one 'pointer: message' line per violation."""
-    validator = jsonschema.Draft202012Validator(_schema())
-    errors = sorted(validator.iter_errors(doc), key=lambda e: str(list(e.absolute_path)))
-    lines = []
-    for err in errors:
-        pointer = "/" + "/".join(str(part) for part in err.absolute_path)
-        lines.append(f"{pointer}: {err.message}")
-    return lines
-
-
 def load_config(path, seed_override: int | None = None) -> ExperimentConfig:
     with open(path) as fh:
         doc = json.load(fh)
-    problems = config_schema_errors(doc)
-    if problems:
-        raise UsageError(
-            f"config {path} fails schema validation:\n  " + "\n  ".join(problems)
-        )
     config = ExperimentConfig.from_dict(doc)
     if seed_override is not None:
         config = dataclasses.replace(config, seed=seed_override)

@@ -146,7 +146,8 @@ def _validate_bin_probs(bin_probs) -> np.ndarray:
         raise DomainError("non-finite bin probability")
     if np.min(probs) < 0:
         raise DomainError(f"negative bin probability {np.min(probs):.3e}")
-    total = probs.sum()
+    with np.errstate(over="ignore"):  # entries near the float limit sum to inf
+        total = probs.sum()
     if abs(total - 1.0) > BIN_PROB_TOL:
         raise DomainError(f"bin probabilities sum to {total!r}, not 1")
     return probs / total

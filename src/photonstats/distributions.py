@@ -8,10 +8,10 @@ callers can reject configurations where the cutoff is too aggressive.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
 
 from .errors import DomainError, ShapeError, TruncationError
 
@@ -95,11 +95,21 @@ def coherent(
     mean: float, n_max: int = DEFAULT_N_MAX, max_tail: float = DEFAULT_TAIL_BOUND
 ) -> PhotonDistribution:
     """Poissonian photon-number distribution of a coherent field."""
-    if mean < 0:
-        raise DomainError(f"mean must be nonnegative, got {mean}")
-    n = np.arange(n_max + 1)
-    pmf = stats.poisson.pmf(n, mean)
-    tail = float(stats.poisson.sf(n_max, mean))
+    if not 0.0 <= mean < math.inf:
+        raise DomainError(f"mean must be finite and nonnegative, got {mean}")
+    if mean == 0.0:
+        return fock(0, n_max)
+    log_mean = math.log(mean)
+    pmf = np.exp([n * log_mean - mean - math.lgamma(n + 1) for n in range(n_max + 1)])
+    if mean > n_max:  # a large tail: its complement is accurate
+        return _truncate(pmf, 1.0 - float(pmf.sum()), max_tail)
+    # falling terms beyond n_max, summed explicitly so a tiny tail keeps its digits
+    k, tail = n_max + 1, 0.0
+    term = math.exp(k * log_mean - mean - math.lgamma(k + 1))
+    while tail + term != tail:
+        tail += term
+        k += 1
+        term *= mean / k
     return _truncate(pmf, tail, max_tail)
 
 

@@ -16,20 +16,25 @@ are supported:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
+from numbers import Real
 
 import numpy as np
 
 from .detector import ClickDistribution, forward_model
 from .distributions import DEFAULT_N_MAX, DEFAULT_TAIL_BOUND, PhotonDistribution
-from .errors import DomainError, TruncationError
+from .errors import DomainError, TruncationError, check_fields
 
 
 class TriggerKind(str, Enum):
     SINGLE_APD = "single_apd"
     DOUBLE_APD_COINCIDENCE = "double_apd_coincidence"
     IDEAL_K_RESOLVING = "ideal_k_resolving"
+
+
+TRIGGER_KINDS = tuple(kind.value for kind in TriggerKind)
 
 
 @dataclass(frozen=True)
@@ -49,43 +54,33 @@ class HeraldConfig:
     dark_click_prob: float = 0.0
     resolve_k: int = 1
 
+    RULES = {
+        "kind": (str, lambda v: v in TRIGGER_KINDS, f"one of {', '.join(TRIGGER_KINDS)}"),
+        "eta_trigger": (Real, lambda v: 0.0 <= v <= 1.0, "a number in [0, 1]"),
+        "dark_click_prob": (Real, lambda v: 0.0 <= v < 1.0, "a number in [0, 1)"),
+        "resolve_k": (
+            Real, lambda v: 0 <= v < math.inf and v % 1 == 0, "a nonnegative integer"
+        ),
+    }
+
     def __post_init__(self):
-        object.__setattr__(self, "kind", TriggerKind(self.kind))
-        if not 0.0 <= self.eta_trigger <= 1.0:
-            raise DomainError(
-                f"trigger efficiency must lie in [0, 1], got {self.eta_trigger}"
-            )
-        if not 0.0 <= self.dark_click_prob < 1.0:
-            raise DomainError(
-                f"dark-click probability must lie in [0, 1), got {self.dark_click_prob}"
-            )
-        if self.resolve_k < 0 or self.resolve_k != int(self.resolve_k):
-            raise DomainError(f"resolve_k must be a nonnegative integer, got {self.resolve_k}")
+        check_fields(self)
+        for name, cast in zip(self.RULES, (TriggerKind, float, float, int)):
+            object.__setattr__(self, name, cast(getattr(self, name)))
+
+    @property
+    def photon_number(self) -> int:
+        """Photon number the trigger nominally heralds: 1 for one APD, 2 for
+        a coincidence of two, resolve_k for the ideal resolving trigger."""
+        nominal = {TriggerKind.SINGLE_APD: 1, TriggerKind.DOUBLE_APD_COINCIDENCE: 2}
+        return nominal.get(self.kind, self.resolve_k)
 
     @property
     def trigger_label(self) -> str:
-        if self.kind is TriggerKind.SINGLE_APD:
-            return "t1"
-        if self.kind is TriggerKind.DOUBLE_APD_COINCIDENCE:
-            return "t2"
-        return f"t{int(self.resolve_k)}"
+        return f"t{self.photon_number}"
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind.value,
-            "eta_trigger": self.eta_trigger,
-            "dark_click_prob": self.dark_click_prob,
-            "resolve_k": int(self.resolve_k),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "HeraldConfig":
-        return cls(
-            kind=TriggerKind(data["kind"]),
-            eta_trigger=float(data.get("eta_trigger", 1.0)),
-            dark_click_prob=float(data.get("dark_click_prob", 0.0)),
-            resolve_k=int(data.get("resolve_k", 1)),
-        )
+        return vars(self) | {"kind": self.kind.value}
 
 
 @dataclass(frozen=True)

@@ -54,7 +54,7 @@ class EmOptions:
     n_max: int = DEFAULT_N_MAX
 
     def __post_init__(self):
-        if self.tol < 0:
+        if not self.tol >= 0.0:
             raise DomainError(f"tolerance must be nonnegative, got {self.tol}")
         if self.max_iter < 1:
             raise DomainError(f"max_iter must be at least 1, got {self.max_iter}")

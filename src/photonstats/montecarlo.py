@@ -16,14 +16,16 @@ no matter how many worker threads share the chunks.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from numbers import Integral, Real
 
 import numpy as np
 
 from .calibration import CountHistogram
 from .detector import _validate_bin_probs, uniform_bins
-from .errors import DomainError
+from .errors import DomainError, check_fields, field_problems
 from .heralding import HeraldConfig, TriggerKind
 
 GENERATOR = "philox4x64"
@@ -41,25 +43,22 @@ class Contaminant:
     kind: str
     mean: float
 
+    RULES = {
+        "kind": (str, lambda v: v in CONTAMINANT_KINDS, "one of coherent, thermal"),
+        "mean": (Real, lambda v: 0.0 <= v < math.inf, "a finite nonnegative number"),
+    }
+
     def __post_init__(self):
-        if self.kind not in CONTAMINANT_KINDS:
-            raise DomainError(
-                f"contaminant kind must be one of {CONTAMINANT_KINDS}, got {self.kind!r}"
-            )
-        if not 0.0 <= self.mean < float("inf"):
-            raise DomainError(f"contaminant mean must be finite and nonnegative, got {self.mean}")
+        check_fields(self)
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "mean": self.mean}
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "Contaminant":
-        return cls(kind=data["kind"], mean=data["mean"])
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Full description of one simulated run of the experiment."""
+    """Full description of one simulated run of the experiment.  Its RULES,
+    those of HeraldConfig and Contaminant and the bin checks are all its limits."""
 
     parametric_gain: float
     herald: HeraldConfig
@@ -70,58 +69,58 @@ class ExperimentConfig:
     pulses: int = 1_000_000
     seed: int = 0
 
+    RULES = {
+        "parametric_gain": (Real, lambda v: 0.0 <= v < 1.0, "a number in [0, 1)"),
+        "eta_signal": (Real, lambda v: 0.0 <= v <= 1.0, "a number in [0, 1]"),
+        "extra_transmission": (Real, lambda v: 0.0 < v <= 1.0, "a number in (0, 1]"),
+        "pulses": (Integral, lambda v: 1 <= v <= MAX_PULSES, "an integer in [1, 2^53]"),
+        "seed": (Integral, lambda v: 0 <= v <= 2**64 - 1, "an integer in [0, 2^64 - 1]"),
+    }
+
     def __post_init__(self):
-        if not 0.0 <= self.parametric_gain < 1.0:
-            raise DomainError(
-                f"parametric gain must lie in [0, 1), got {self.parametric_gain}"
-            )
+        check_fields(self)
         if not isinstance(self.herald, HeraldConfig):
             raise DomainError("herald must be a HeraldConfig")
-        if not 0.0 <= self.eta_signal <= 1.0:
-            raise DomainError(f"signal efficiency must lie in [0, 1], got {self.eta_signal}")
-        if not 0.0 < self.extra_transmission <= 1.0:
-            raise DomainError(
-                f"extra transmission must lie in (0, 1], got {self.extra_transmission}"
-            )
         bins = _validate_bin_probs(uniform_bins(8) if self.bins is None else self.bins)
         bins.setflags(write=False)
         object.__setattr__(self, "bins", bins)
         if self.contaminant is not None and not isinstance(self.contaminant, Contaminant):
             raise DomainError("contaminant must be a Contaminant or None")
-        if not isinstance(self.pulses, (int, np.integer)) or isinstance(self.pulses, bool):
-            raise DomainError(f"pulses must be an integer, got {self.pulses!r}")
-        if not 1 <= self.pulses <= MAX_PULSES:
-            raise DomainError(f"pulses must lie in [1, {MAX_PULSES}], got {self.pulses}")
-        if not isinstance(self.seed, (int, np.integer)) or isinstance(self.seed, bool):
-            raise DomainError(f"seed must be an integer, got {self.seed!r}")
-        if not 0 <= self.seed < 2**64:
-            raise DomainError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
 
     def to_dict(self) -> dict:
-        return {
-            "parametric_gain": self.parametric_gain,
+        return vars(self) | {
             "herald": self.herald.to_dict(),
-            "eta_signal": self.eta_signal,
-            "extra_transmission": self.extra_transmission,
-            "bins": [float(x) for x in self.bins],
+            "bins": self.bins.tolist(),
             "contaminant": None if self.contaminant is None else self.contaminant.to_dict(),
             "pulses": int(self.pulses),
             "seed": int(self.seed),
         }
 
     @classmethod
-    def from_dict(cls, data: dict) -> "ExperimentConfig":
-        contaminant = data.get("contaminant")
-        return cls(
-            parametric_gain=data["parametric_gain"],
-            herald=HeraldConfig.from_dict(data["herald"]),
-            eta_signal=data["eta_signal"],
-            extra_transmission=data.get("extra_transmission", 1.0),
-            bins=data.get("bins"),
-            contaminant=None if contaminant is None else Contaminant.from_dict(contaminant),
-            pulses=data.get("pulses", 1_000_000),
-            seed=data.get("seed", 0),
-        )
+    def from_dict(cls, doc) -> "ExperimentConfig":
+        """Build a config from its JSON document; one DomainError lists every
+        violated rule under its JSON pointer."""
+        problems = field_problems(doc, cls)
+        if isinstance(doc, dict):
+            if "herald" in doc:
+                problems += field_problems(doc["herald"], HeraldConfig, "/herald")
+            if doc.get("contaminant") is not None:
+                problems += field_problems(doc["contaminant"], Contaminant, "/contaminant")
+            bins = doc.get("bins", [1.0])
+            try:
+                if not isinstance(bins, list) or not all(
+                    isinstance(p, Real) and not isinstance(p, bool) for p in bins
+                ):
+                    raise DomainError(f"must be an array of numbers, got {bins!r}")
+                _validate_bin_probs(bins)
+            except (ValueError, OverflowError) as err:
+                problems.append(f"/bins: {err}")
+        if problems:
+            raise DomainError("; ".join(problems))
+        contaminant = doc.get("contaminant")
+        if contaminant is not None:
+            contaminant = Contaminant(**contaminant)
+        return cls(**{**doc, "herald": HeraldConfig(**doc["herald"]), "contaminant": contaminant})
 
 
 @dataclass(frozen=True)

@@ -160,7 +160,7 @@ def report(
     standard errors for empirical inputs so flags stay statistically
     meaningful, or leave the roundoff-level default for analytic inputs.
     """
-    if tol < 0:
+    if not tol >= 0.0:
         raise DomainError(f"tolerance must be nonnegative, got {tol}")
     notes: list[str] = []
     q_detected = None

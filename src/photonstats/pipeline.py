@@ -30,7 +30,6 @@ from .calibration import (
 from .detector import convolution_matrix
 from .distributions import fock, from_probs
 from .errors import ConditioningError, DomainError, InsufficientDataError
-from .heralding import HeraldConfig, TriggerKind
 from .inversion import (
     EmOptions,
     deconvolve_clicks,
@@ -41,16 +40,6 @@ from .inversion import (
 from .montecarlo import ExperimentConfig, run
 from .nonclassicality import b_std_err, mandel_q_std_err
 from .nonclassicality import report as witness_report
-
-
-def target_photon_number(herald: HeraldConfig) -> int:
-    """Photon number the trigger nominally prepares, used as the fidelity
-    reference for the reconstruction."""
-    if herald.kind is TriggerKind.SINGLE_APD:
-        return 1
-    if herald.kind is TriggerKind.DOUBLE_APD_COINCIDENCE:
-        return 2
-    return int(herald.resolve_k)
 
 
 def calibrate_histogram(
@@ -186,7 +175,7 @@ def run_pipeline(
     if output.herald_count == 0:
         report["warnings"].append("no heralds recorded; downstream stages skipped")
         return report
-    target = target_photon_number(config.herald)
+    target = config.herald.photon_number
     efficiency, notes = calibrate_histogram(hist, config.bins, target, sigma_threshold)
     report["efficiency"] = efficiency
     report["warnings"].extend(notes)

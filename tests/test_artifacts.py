@@ -72,6 +72,15 @@ def test_cli_malformed_csv_exits_2(tmp_path, capsys, command, body):
     assert len(err) == 1 and err[0].startswith("photonstats: error:")
 
 
+HISTOGRAM = "clicks,count\n" + "".join(
+    f"{k},{c}\n" for k, c in enumerate([4000, 3000, 900, 90, 10, 0, 0, 0, 0])
+)
+CONFIG = (
+    '{"parametric_gain": 0.3, "herald": {"kind": "single_apd", "eta_trigger": 0.25}, '
+    '"eta_signal": 0.373, "pulses": 20000, "seed": 11}'
+)
+
+
 @pytest.mark.parametrize(
     "argv, text",
     [
@@ -83,6 +92,15 @@ def test_cli_malformed_csv_exits_2(tmp_path, capsys, command, body):
             ["invert", "--eta", "0.5", "--n-max", "1100", "--histogram"],
             "clicks,count\n" + "".join(f"{k},5\n" for k in range(9)),
         ),
+        (["invert", "--eta", "0.4", "--max-iter", "50", "--tol", "nan", "--histogram"],
+         HISTOGRAM),
+        (["analyze", "--tol", "nan", "--rho"], "n,rho\n0,0.1\n1,0.9\n"),
+        (["calibrate", "--trigger", "t2", "--sigma-threshold", "nan", "--histogram"],
+         HISTOGRAM),
+        (["calibrate", "--trigger", "t2", "--sigma-threshold", "-1", "--histogram"],
+         HISTOGRAM),
+        (["pipeline", "--sigma-threshold", "nan", "--config"], CONFIG),
+        (["pipeline", "--sigma-threshold", "-1", "--config"], CONFIG),
     ],
     ids=[
         "calibrate_count_overflow",
@@ -90,6 +108,12 @@ def test_cli_malformed_csv_exits_2(tmp_path, capsys, command, body):
         "analyze_infinite_rho",
         "analyze_no_positive_mass",
         "invert_n_max_overflows_binomials",
+        "invert_tol_nan",
+        "analyze_tol_nan",
+        "calibrate_sigma_threshold_nan",
+        "calibrate_sigma_threshold_negative",
+        "pipeline_sigma_threshold_nan",
+        "pipeline_sigma_threshold_negative",
     ],
 )
 def test_cli_out_of_range_values_exit_2(tmp_path, capsys, argv, text):

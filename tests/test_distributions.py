@@ -27,6 +27,28 @@ def test_coherent_matches_poisson_oracle(n):
     assert d.probs[n] == pytest.approx(poisson_pmf(n, 0.5), abs=1e-12)
 
 
+@pytest.mark.parametrize(
+    "mean, n_max",
+    [(1e-3, 5), (0.5, 10), (0.5, 30), (3.0, 20), (8.0, 40), (20.0, 20), (25.0, 20)],
+)
+def test_coherent_tail_matches_poisson_survival(mean, n_max):
+    stats = pytest.importorskip("scipy.stats")
+    d = dist.coherent(mean, n_max=n_max, max_tail=1.0)
+    assert d.tail_mass == pytest.approx(stats.poisson.sf(n_max, mean), rel=1e-12)
+    expected = stats.poisson.pmf(np.arange(n_max + 1), mean)
+    assert np.allclose(d.probs, expected / expected.sum(), rtol=1e-12, atol=0)
+
+
+def test_coherent_edge_means():
+    assert np.array_equal(dist.coherent(0.0, n_max=5).probs, dist.fock(0, 5).probs)
+    assert dist.coherent(0.0, n_max=5).tail_mass == 0.0
+    for mean in (math.nan, math.inf):
+        with pytest.raises(DomainError):
+            dist.coherent(mean)
+    with pytest.raises(TruncationError):
+        dist.coherent(1e4, n_max=20)
+
+
 def test_thermal_frozen_values():
     # mean 1 photon: geometric with ratio 1/2
     d = dist.thermal(1.0, n_max=40)

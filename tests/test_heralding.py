@@ -139,4 +139,4 @@ def test_config_validation_and_round_trip():
         herald_rate(1.0, HeraldConfig(kind=TriggerKind.SINGLE_APD))
     cfg = HeraldConfig(kind="double_apd_coincidence", eta_trigger=0.4)
     assert cfg.kind is TriggerKind.DOUBLE_APD_COINCIDENCE
-    assert HeraldConfig.from_dict(cfg.to_dict()) == cfg
+    assert HeraldConfig(**cfg.to_dict()) == cfg

@@ -11,11 +11,7 @@ from photonstats.artifacts import read_histogram, read_rho
 from photonstats.calibration import CountHistogram
 from photonstats.heralding import HeraldConfig, TriggerKind
 from photonstats.montecarlo import ExperimentConfig
-from photonstats.pipeline import (
-    run_pipeline,
-    target_photon_number,
-    witness_tolerance,
-)
+from photonstats.pipeline import run_pipeline, witness_tolerance
 
 SINGLE = HeraldConfig(kind=TriggerKind.SINGLE_APD, eta_trigger=0.25)
 DOUBLE = HeraldConfig(
@@ -103,10 +99,10 @@ def test_report_independent_of_thread_count():
 
 
 def test_target_photon_number_by_trigger_kind():
-    assert target_photon_number(SINGLE) == 1
-    assert target_photon_number(DOUBLE) == 2
+    assert SINGLE.photon_number == 1 and SINGLE.trigger_label == "t1"
+    assert DOUBLE.photon_number == 2 and DOUBLE.trigger_label == "t2"
     ideal = HeraldConfig(kind=TriggerKind.IDEAL_K_RESOLVING, resolve_k=3)
-    assert target_photon_number(ideal) == 3
+    assert ideal.photon_number == 3 and ideal.trigger_label == "t3"
 
 
 def test_witness_tolerance_shrinks_with_counts():
@@ -137,6 +133,10 @@ def test_cli_schema_violation_reports_json_pointer(tmp_path, capsys):
     doc = single_config().to_dict()
     doc["parametric_gain"] = 1.2
     doc["herald"]["eta_trigger"] = 1.5
+    del doc["eta_signal"]
+    doc["herald"]["eta_trig"] = 0.5
+    doc["pulses"] = "2000"
+    doc["contaminant"] = {"kind": "coherent", "mean": float("nan")}
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
     code = cli.main(["simulate", "--config", str(bad), "--out-dir", str(tmp_path)])
@@ -144,6 +144,10 @@ def test_cli_schema_violation_reports_json_pointer(tmp_path, capsys):
     assert code == 2
     assert "/parametric_gain" in err
     assert "/herald/eta_trigger" in err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("photonstats: error:")
+    for pointer in ("/eta_signal", "/herald/eta_trig", "/pulses", "/contaminant/mean"):
+        assert f"{pointer}:" in lines[0]
 
 
 def test_cli_simulate_rejects_nan_bins(tmp_path, capsys):
