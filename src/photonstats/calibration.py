@@ -227,6 +227,12 @@ def double_trigger_efficiencies(
     )
 
 
+def check_sigma_threshold(sigma_threshold: float) -> None:
+    """Reject a NaN or negative consistency threshold."""
+    if not sigma_threshold >= 0.0:
+        raise DomainError(f"sigma threshold must be nonnegative, got {sigma_threshold}")
+
+
 def consistency_check(
     estimates, sigma_threshold: float = DEFAULT_SIGMA_THRESHOLD
 ) -> tuple[bool, float]:
@@ -237,8 +243,7 @@ def consistency_check(
     combined standard errors.  Disagreement beyond that signals a violated
     model assumption (e.g. uncorrelated background masquerading as pairs).
     """
-    if not sigma_threshold >= 0.0:
-        raise DomainError(f"sigma threshold must be nonnegative, got {sigma_threshold}")
+    check_sigma_threshold(sigma_threshold)
     defined = [e for e in estimates if e.defined]
     if len(defined) < 2:
         raise InsufficientDataError(

@@ -30,6 +30,8 @@ from .heralding import HeraldConfig, TriggerKind
 
 GENERATOR = "philox4x64"
 CHUNK_PULSES = 1 << 20
+# surviving photons routed to bins per step of the signal-arm sampler
+PHOTON_SLICE = 1 << 16
 # keep counts exactly representable and memory sane
 MAX_PULSES = 1 << 53
 
@@ -138,53 +140,77 @@ class SimulationOutput:
 def _pair_numbers(rng, q: float, size: int) -> np.ndarray:
     if q == 0.0:
         return np.zeros(size, dtype=np.int64)
-    return rng.geometric(1.0 - q, size) - 1
+    n = rng.geometric(1.0 - q, size)
+    n -= 1
+    return n
 
 
-def _trigger_outcomes(rng, n: np.ndarray, herald: HeraldConfig) -> np.ndarray:
+def _apd_clicks(rng, size: int, dark: float, fired: np.ndarray) -> np.ndarray:
+    """Per-pulse click mask of one APD: a dark click on any pulse, or a
+    photon click on the pulses indexed by fired."""
+    click = rng.random(size) < dark
+    click[fired] = True
+    return click
+
+
+def _heralded(rng, n: np.ndarray, herald: HeraldConfig) -> np.ndarray:
+    """Indices of the pulses whose trigger fires.
+
+    The photon binomials run only on pulses that carry photons: a binomial
+    with zero trials draws nothing from the generator, so this consumes the
+    same words in the same order as running them over every pulse.
+    """
+    if herald.kind is TriggerKind.IDEAL_K_RESOLVING:
+        return np.flatnonzero(n == herald.resolve_k)
     dark = herald.dark_click_prob
+    busy = np.flatnonzero(n)
+    photons = n[busy]
     if herald.kind is TriggerKind.SINGLE_APD:
-        det = rng.binomial(n, herald.eta_trigger) > 0
+        fired = busy[rng.binomial(photons, herald.eta_trigger) > 0]
         if dark > 0:
-            det |= rng.random(n.size) < dark
-        return det
-    if herald.kind is TriggerKind.DOUBLE_APD_COINCIDENCE:
-        # per photon: reach APD a or b with probability eta/2 each
-        half = herald.eta_trigger / 2.0
-        a = rng.binomial(n, half)
-        b = rng.binomial(n - a, half / (1.0 - half))
-        click_a = a > 0
-        click_b = b > 0
-        if dark > 0:
-            click_a |= rng.random(n.size) < dark
-            click_b |= rng.random(n.size) < dark
-        return click_a & click_b
-    return n == herald.resolve_k
+            return np.flatnonzero(_apd_clicks(rng, n.size, dark, fired))
+        return fired
+    # coincidence: per photon, reach APD a or b with probability eta/2 each
+    half = herald.eta_trigger / 2.0
+    a = rng.binomial(photons, half)
+    b = rng.binomial(photons - a, half / (1.0 - half))
+    if dark > 0:
+        click_a = _apd_clicks(rng, n.size, dark, busy[a > 0])
+        click_b = _apd_clicks(rng, n.size, dark, busy[b > 0])
+        return np.flatnonzero(click_a & click_b)
+    return busy[(a > 0) & (b > 0)]
 
 
 def _signal_clicks(rng, photons: np.ndarray, transmission: float, bins: np.ndarray) -> np.ndarray:
-    """Occupied-bin count for each heralded pulse."""
+    """Occupied-bin count for each heralded pulse.
+
+    Surviving photons are routed PHOTON_SLICE at a time, so memory stays
+    bounded however bright the contaminant; successive rng.random calls give
+    the same words as one call for all photons.
+    """
     survivors = (
         rng.binomial(photons, transmission)
         if transmission > 0
         else np.zeros(photons.size, dtype=np.int64)
     )
-    clicks = np.zeros(photons.size, dtype=np.int64)
-    total = int(survivors.sum())
+    ends = np.cumsum(survivors)
+    total = int(ends[-1])
     if total == 0:
-        return clicks
-    rows = np.repeat(np.arange(photons.size), survivors)
+        return np.zeros(photons.size, dtype=np.int64)
     edges = np.cumsum(bins)
-    cols = np.searchsorted(edges, rng.random(total), side="right")
     occupied = np.zeros((photons.size, bins.size), dtype=bool)
-    occupied[rows, np.minimum(cols, bins.size - 1)] = True
+    for start in range(0, total, PHOTON_SLICE):
+        stop = min(start + PHOTON_SLICE, total)
+        rows = np.searchsorted(ends, np.arange(start, stop), side="right")
+        cols = np.searchsorted(edges, rng.random(stop - start), side="right")
+        occupied[rows, np.minimum(cols, bins.size - 1)] = True
     return occupied.sum(axis=1)
 
 
 def _run_chunk(config: ExperimentConfig, chunk_index: int, size: int) -> tuple[np.ndarray, int]:
     rng = np.random.Generator(np.random.Philox(key=config.seed).jumped(chunk_index))
     n = _pair_numbers(rng, config.parametric_gain**2, size)
-    heralded = np.flatnonzero(_trigger_outcomes(rng, n, config.herald))
+    heralded = _heralded(rng, n, config.herald)
     n_bins = config.bins.size
     if heralded.size == 0:
         return np.zeros(n_bins + 1, dtype=np.int64), 0

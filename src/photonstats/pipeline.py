@@ -21,6 +21,7 @@ from .artifacts import SCHEMA_VERSION, provenance_block
 from .calibration import (
     DEFAULT_SIGMA_THRESHOLD,
     CountHistogram,
+    check_sigma_threshold,
     combine_efficiencies,
     consistency_check,
     double_trigger_efficiencies,
@@ -155,6 +156,7 @@ def run_pipeline(
     Returns the report dictionary; identical (config, threads-independent)
     runs differ only in the provenance timestamp.
     """
+    check_sigma_threshold(sigma_threshold)
     output = run(config, threads=threads)
     label = config.herald.trigger_label
     hist = output.histograms[label]

@@ -79,6 +79,7 @@ CONFIG = (
     '{"parametric_gain": 0.3, "herald": {"kind": "single_apd", "eta_trigger": 0.25}, '
     '"eta_signal": 0.373, "pulses": 20000, "seed": 11}'
 )
+NO_HERALD_CONFIG = CONFIG.replace('"parametric_gain": 0.3', '"parametric_gain": 0')
 
 
 @pytest.mark.parametrize(
@@ -101,6 +102,7 @@ CONFIG = (
          HISTOGRAM),
         (["pipeline", "--sigma-threshold", "nan", "--config"], CONFIG),
         (["pipeline", "--sigma-threshold", "-1", "--config"], CONFIG),
+        (["pipeline", "--sigma-threshold", "nan", "--config"], NO_HERALD_CONFIG),
     ],
     ids=[
         "calibrate_count_overflow",
@@ -114,6 +116,7 @@ CONFIG = (
         "calibrate_sigma_threshold_negative",
         "pipeline_sigma_threshold_nan",
         "pipeline_sigma_threshold_negative",
+        "pipeline_sigma_threshold_nan_no_heralds",
     ],
 )
 def test_cli_out_of_range_values_exit_2(tmp_path, capsys, argv, text):

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -20,6 +21,7 @@ from photonstats import (
     thermal,
     uniform_bins,
 )
+from photonstats import montecarlo
 from photonstats.errors import DomainError
 from photonstats.montecarlo import Contaminant, ExperimentConfig, run
 
@@ -146,6 +148,40 @@ def test_thermal_contaminant_through_dark_heralds():
     )
 
 
+def _per_pulse_signal_clicks(rng, photons, transmission, bins):
+    """Reference for montecarlo._signal_clicks: each pulse draws its photons'
+    bin uniforms in one call and counts the distinct bins they hit."""
+    edges = np.cumsum(bins)
+    clicks = []
+    for survivors in rng.binomial(photons, transmission):
+        cols = np.searchsorted(edges, rng.random(survivors), side="right")
+        clicks.append(np.unique(np.minimum(cols, bins.size - 1)).size)
+    return np.array(clicks, dtype=np.int64)
+
+
+def test_bright_contaminant_memory_is_bounded(monkeypatch):
+    # about 2.3M surviving photons: one array entry per photon would peak
+    # near 54 MiB; routing them in slices keeps the chunk's peak small
+    config = ExperimentConfig(
+        parametric_gain=0.3,
+        herald=SINGLE,
+        eta_signal=0.5,
+        contaminant=Contaminant(kind="thermal", mean=1e4),
+        pulses=20_000,
+        seed=4,
+    )
+    tracemalloc.start()
+    try:
+        out = run(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    monkeypatch.setattr(montecarlo, "_signal_clicks", _per_pulse_signal_clicks)
+    reference = run(config)
+    assert out.herald_count == reference.herald_count > 0
+    assert np.array_equal(out.histograms["t1"].counts, reference.histograms["t1"].counts)
+
 def test_zero_gain_no_contaminant_clicks_stay_at_zero():
     herald_cfg = HeraldConfig(
         kind=TriggerKind.SINGLE_APD, eta_trigger=0.25, dark_click_prob=0.01
@@ -232,3 +268,70 @@ def test_config_round_trip_and_output_json():
     assert out.generator == "philox4x64"
     echo = json.loads(json.dumps(out.config_echo.to_dict()))
     assert ExperimentConfig.from_dict(echo).to_dict() == config.to_dict()
+
+
+_D = TriggerKind.DOUBLE_APD_COINCIDENCE
+_K = TriggerKind.IDEAL_K_RESOLVING
+_TWO_CHUNKS = (1 << 20) + 300_000
+# (config fields, herald count, histogram counts); the counts pin the exact
+# random stream of every trigger path, so a sampler change that moves it fails
+STREAM_PINS = {
+    "single": (
+        dict(parametric_gain=0.3, herald=HeraldConfig(kind=TriggerKind.SINGLE_APD,
+             eta_trigger=0.25), eta_signal=0.5, pulses=_TWO_CHUNKS, seed=101),
+        32719, [15038, 16439, 1175, 64, 3, 0, 0, 0, 0],
+    ),
+    "single_dark_eta1": (
+        dict(parametric_gain=0.2, herald=HeraldConfig(kind=TriggerKind.SINGLE_APD,
+             eta_trigger=1.0, dark_click_prob=1e-3), eta_signal=0.4,
+             pulses=_TWO_CHUNKS, seed=102),
+        55419, [33386, 21723, 306, 4, 0, 0, 0, 0, 0],
+    ),
+    "single_dark_eta0": (
+        dict(parametric_gain=0.25, herald=HeraldConfig(kind=TriggerKind.SINGLE_APD,
+             eta_trigger=0.0, dark_click_prob=2e-3), eta_signal=0.6,
+             pulses=_TWO_CHUNKS, seed=103),
+        2654, [2567, 82, 5, 0, 0, 0, 0, 0, 0],
+    ),
+    "double": (
+        dict(parametric_gain=0.19, herald=HeraldConfig(kind=_D, eta_trigger=0.9),
+             eta_signal=0.315, pulses=(2 << 20) + 5, seed=104),
+        1155, [521, 527, 107, 0, 0, 0, 0, 0, 0],
+    ),
+    "double_dark_eta1": (
+        dict(parametric_gain=0.3, herald=HeraldConfig(kind=_D, eta_trigger=1.0,
+             dark_click_prob=6e-4), eta_signal=0.5, extra_transmission=0.5,
+             pulses=_TWO_CHUNKS, seed=105),
+        5688, [3057, 2259, 365, 7, 0, 0, 0, 0, 0],
+    ),
+    "double_dark_gain0": (
+        dict(parametric_gain=0.0, herald=HeraldConfig(kind=_D, eta_trigger=0.9,
+             dark_click_prob=0.03), eta_signal=0.5,
+             contaminant=Contaminant(kind="thermal", mean=0.7),
+             pulses=_TWO_CHUNKS, seed=106),
+        1219, [899, 247, 53, 16, 4, 0, 0, 0, 0],
+    ),
+    "ideal_k0_coherent": (
+        dict(parametric_gain=0.2, herald=HeraldConfig(kind=_K, resolve_k=0),
+             eta_signal=0.7, bins=[0.4, 0.3, 0.2, 0.1],
+             contaminant=Contaminant(kind="coherent", mean=0.5),
+             pulses=_TWO_CHUNKS, seed=107),
+        1294377, [911181, 337857, 43060, 2238, 41],
+    ),
+    "ideal_k2_thermal": (
+        dict(parametric_gain=0.4, herald=HeraldConfig(kind=_K, resolve_k=2),
+             eta_signal=0.8, contaminant=Contaminant(kind="thermal", mean=0.3),
+             pulses=_TWO_CHUNKS, seed=108),
+        28937, [919, 9774, 15391, 2462, 342, 43, 6, 0, 0],
+    ),
+}
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("name", list(STREAM_PINS))
+def test_stream_is_pinned(name, threads):
+    fields, herald_count, counts = STREAM_PINS[name]
+    config = ExperimentConfig(**fields)
+    out = run(config, threads=threads)
+    assert out.herald_count == herald_count
+    assert out.histograms[config.herald.trigger_label].counts.tolist() == counts
