@@ -142,7 +142,10 @@ def cmd_calibrate(args) -> int:
     hist = read_histogram(args.histogram, trigger_label=args.trigger)
     order = int(args.trigger[1:]) if args.trigger[1:].isdigit() else 1
     bins = parse_bins(args.bins)
-    section, notes = calibrate_histogram(hist, bins, order, args.sigma_threshold)
+    try:
+        section, notes = calibrate_histogram(hist, bins, order, args.sigma_threshold)
+    except ConditioningError as err:
+        raise UsageError(f"{err} (coarser binning avoids the solve)") from err
     out = resolve_out_dir(args)
     write_json(
         out / "calibration.json",
@@ -294,10 +297,11 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--threads", type=int, default=1, help="simulation threads")
 
     def em_knobs(p):
+        defaults = EmOptions()
         p.add_argument("--method", choices=("em", "direct"), default="em")
-        p.add_argument("--n-max", type=int, default=20, help="reconstruction cutoff")
-        p.add_argument("--tol", type=float, default=1e-10, help="EM stop tolerance")
-        p.add_argument("--max-iter", type=int, default=100_000)
+        p.add_argument("--n-max", type=int, default=defaults.n_max, help="reconstruction cutoff")
+        p.add_argument("--tol", type=float, default=defaults.tol, help="EM stop tolerance")
+        p.add_argument("--max-iter", type=int, default=defaults.max_iter)
 
     p = sub.add_parser("simulate", help="run the seeded experiment simulator")
     p.add_argument("--config", required=True, help="experiment config JSON")

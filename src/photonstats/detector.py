@@ -21,10 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import PhotonDistribution, DEFAULT_N_MAX, from_probs
-from .errors import DomainError, ShapeError
-
-BIN_PROB_TOL = 1e-9
+from .distributions import DEFAULT_N_MAX, PhotonDistribution, from_probs, probability_vector
+from .errors import DomainError
 
 
 def _comb_table(n_max: int) -> np.ndarray:
@@ -104,17 +102,8 @@ class ClickDistribution:
     total_counts: int | None = None
 
     def __post_init__(self):
-        probs = np.asarray(self.probs, dtype=float)
-        if probs.ndim != 1 or probs.size == 0:
-            raise ShapeError("click probabilities must be a nonempty 1-D vector")
-        if not np.all(np.isfinite(probs)):
-            raise DomainError("non-finite click probability")
-        if np.min(probs) < -BIN_PROB_TOL:
-            raise DomainError(f"negative click probability {np.min(probs):.3e}")
-        total = probs.sum()
-        if abs(total - 1.0) > BIN_PROB_TOL:
-            raise DomainError(f"click probabilities sum to {total!r}, not 1")
-        probs = np.clip(probs, 0.0, None) / np.clip(probs, 0.0, None).sum()
+        probs = probability_vector(self.probs, "click probability")
+        probs = probs / probs.sum()
         probs.setflags(write=False)
         object.__setattr__(self, "probs", probs)
 
@@ -139,18 +128,12 @@ def uniform_bins(n_bins: int = 8) -> np.ndarray:
 
 
 def _validate_bin_probs(bin_probs) -> np.ndarray:
-    probs = np.asarray(bin_probs, dtype=float)
-    if probs.ndim != 1 or probs.size == 0:
-        raise ShapeError("bin probabilities must be a nonempty 1-D vector")
-    if not np.all(np.isfinite(probs)):
-        raise DomainError("non-finite bin probability")
-    if np.min(probs) < 0:
-        raise DomainError(f"negative bin probability {np.min(probs):.3e}")
-    with np.errstate(over="ignore"):  # entries near the float limit sum to inf
-        total = probs.sum()
-    if abs(total - 1.0) > BIN_PROB_TOL:
-        raise DomainError(f"bin probabilities sum to {total!r}, not 1")
-    return probs / total
+    raw = np.asarray(bin_probs, dtype=float)
+    probs = probability_vector(raw, "bin probability")
+    # routing probabilities come from outside the program: no roundoff slack
+    if np.any(raw < 0):
+        raise DomainError(f"negative bin probability entry {raw.min():.3e}")
+    return probs / probs.sum()
 
 
 def loss_matrix(eta: float, n_max: int = DEFAULT_N_MAX) -> LossMatrix:

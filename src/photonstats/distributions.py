@@ -20,6 +20,28 @@ DEFAULT_TAIL_BOUND = 1e-6
 NORMALIZATION_TOL = 1e-9
 
 
+def probability_vector(values, what: str) -> np.ndarray:
+    """The entries of values, clipped at 0, once they pass as a probability
+    distribution: a nonempty 1-D vector of finite entries, none below
+    -NORMALIZATION_TOL, summing to 1 within NORMALIZATION_TOL.
+
+    Raises ShapeError or DomainError naming `what`; every comparison is
+    written so that NaN fails it.
+    """
+    probs = np.asarray(values, dtype=float)
+    if probs.ndim != 1 or probs.size == 0:
+        raise ShapeError(f"{what} entries must form a nonempty 1-D vector")
+    if not np.all(np.isfinite(probs)):
+        raise DomainError(f"non-finite {what} entry")
+    if not np.min(probs) >= -NORMALIZATION_TOL:
+        raise DomainError(f"negative {what} entry {np.min(probs):.3e}")
+    with np.errstate(over="ignore"):  # entries near the float limit sum to inf
+        total = probs.sum()
+    if not abs(total - 1.0) <= NORMALIZATION_TOL:
+        raise DomainError(f"{what} entries sum to {total!r}, not 1")
+    return np.clip(probs, 0.0, None)
+
+
 @dataclass(frozen=True)
 class PhotonDistribution:
     """Probability distribution over photon number 0 .. n_max.
@@ -34,19 +56,8 @@ class PhotonDistribution:
     tail_mass: float = field(default=0.0)
 
     def __post_init__(self):
-        probs = np.asarray(self.probs, dtype=float)
-        if probs.ndim != 1 or probs.size == 0:
-            raise ShapeError("probs must be a nonempty 1-D vector")
-        if not np.all(np.isfinite(probs)):
-            raise DomainError("non-finite probability entry in distribution")
-        if np.min(probs) < -NORMALIZATION_TOL:
-            raise DomainError(
-                f"negative probability entry {np.min(probs):.3e} in distribution"
-            )
-        probs = np.clip(probs, 0.0, None)
+        probs = probability_vector(self.probs, "probability")
         total = probs.sum()
-        if abs(total - 1.0) > NORMALIZATION_TOL:
-            raise DomainError(f"probabilities sum to {total!r}, not 1")
         if abs(total - 1.0) > 1e-12:  # keep construction idempotent
             probs = probs / total
         probs.setflags(write=False)

@@ -23,7 +23,7 @@ import numpy as np
 
 from .calibration import CountHistogram
 from .detector import ClickDistribution, ConvolutionMatrix, _thinning_matrix
-from .distributions import DEFAULT_N_MAX
+from .distributions import DEFAULT_N_MAX, probability_vector
 from .errors import (
     ConditioningError,
     DomainError,
@@ -134,11 +134,7 @@ def _click_frequencies(data, n_rows: int) -> tuple[np.ndarray, int | None]:
         freq = np.asarray(data.probs, dtype=float)
         total = data.total_counts
     else:
-        freq = np.asarray(data, dtype=float)
-        if freq.ndim != 1 or freq.size == 0:
-            raise ShapeError("click data must be a nonempty 1-D vector")
-        if abs(freq.sum() - 1.0) > 1e-6:
-            raise DomainError(f"click frequencies sum to {freq.sum()!r}, not 1")
+        freq = probability_vector(data, "click frequency")
     if freq.size > n_rows:
         if np.any(freq[n_rows:] != 0):
             raise ShapeError(
@@ -150,9 +146,7 @@ def _click_frequencies(data, n_rows: int) -> tuple[np.ndarray, int | None]:
     return freq, total
 
 
-def deconvolve_clicks(
-    p_click, c: ConvolutionMatrix, allow_ill_conditioned: bool = False
-) -> np.ndarray:
+def deconvolve_clicks(p_click, c: ConvolutionMatrix) -> np.ndarray:
     """Remove the bin-convolution: solve C s = p on the square block where
     clicks and survivors both run 0 .. n_bins.
 
@@ -168,10 +162,10 @@ def deconvolve_clicks(
         )
     block = c.matrix[:, :n_rows]
     cond = float(np.linalg.cond(block))
-    if cond > CONDITION_LIMIT and not allow_ill_conditioned:
+    if cond > CONDITION_LIMIT:
         raise ConditioningError(
             f"bin-convolution block has condition number {cond:.3e} > "
-            f"{CONDITION_LIMIT:.0e}; pass allow_ill_conditioned=True to force"
+            f"{CONDITION_LIMIT:.0e}"
         )
     survivors = np.linalg.solve(block, freq)
     if float(survivors.min()) < -1e-12:
@@ -199,6 +193,7 @@ def direct_invert(
     n_rows = c.matrix.shape[0]
     dim = n_rows - 1
     block = c.matrix[:, :n_rows]
+    freq, _ = _click_frequencies(p_click, n_rows)
     linv = loss_matrix_inverse(eta, dim)
     composite = block @ _thinning_matrix(eta, dim)
     cond = float(np.linalg.cond(composite))
@@ -207,10 +202,7 @@ def direct_invert(
             f"composite response has condition number {cond:.3e} > "
             f"{CONDITION_LIMIT:.0e}; pass allow_ill_conditioned=True to force"
         )
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", QuasiDistributionWarning)
-        survivors = deconvolve_clicks(p_click, c, allow_ill_conditioned=True)
-    rho = linv @ survivors
+    rho = linv @ np.linalg.solve(block, freq)
     min_entry = float(rho.min())
     return InversionResult(
         rho=rho,

@@ -6,9 +6,9 @@ being inverted, never supplied from outside.  Each stage's numbers land
 in one report dictionary; every entry is traceable to a module output.
 
 Stage warnings (inconsistent estimators, negativity, empty heralds,
-non-convergence, an ill-conditioned direct solve) are collected as strings
-rather than raised, so a run always produces a complete report; the CLI
-decides how strictly to treat them.
+non-convergence, an ill-conditioned deconvolution or direct solve) are
+collected as strings rather than raised, so a run always produces a
+complete report; the CLI decides how strictly to treat them.
 """
 
 from __future__ import annotations
@@ -178,7 +178,13 @@ def run_pipeline(
         report["warnings"].append("no heralds recorded; downstream stages skipped")
         return report
     target = config.herald.photon_number
-    efficiency, notes = calibrate_histogram(hist, config.bins, target, sigma_threshold)
+    try:
+        efficiency, notes = calibrate_histogram(hist, config.bins, target, sigma_threshold)
+    except ConditioningError as err:
+        report["warnings"].append(
+            f"calibration refused ({err}); coarser binning avoids the solve"
+        )
+        return report
     report["efficiency"] = efficiency
     report["warnings"].extend(notes)
     eta = efficiency["eta_for_inversion"]

@@ -1,10 +1,13 @@
-"""The traced benchmark run rebinds package names; they must keep existing.
+"""The benchmark must keep running against the package.
 
 perfbench/tracing.py wraps module attributes such as cli.write_csv and
 pipeline.em_invert to time each layer.  A rename or removal of one of
 those names breaks the traced run, so install and remove its hooks here.
+The smoke run drives every workload once at a tiny size, so a change that
+breaks a workload's inputs or its correctness gate fails here too.
 """
 
+import subprocess
 import sys
 from pathlib import Path
 
@@ -50,3 +53,11 @@ def test_cli_writes_through_traced_names(tracing, tmp_path):
     names = {span.name for span in tracer.spans}
     assert {"main", "write_json", "write_csv"} <= names
     assert tracer.counts["cli.bytes_written"] > 0
+
+
+def test_smoke_run_passes():
+    result = subprocess.run(
+        [sys.executable, str(PERFBENCH / "run.py"), "--smoke"],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert result.returncode == 0, result.stdout + result.stderr

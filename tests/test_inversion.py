@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from photonstats import (
     apply_loss,
@@ -18,6 +20,8 @@ from photonstats import (
 )
 from photonstats.artifacts import RHO_HEADER, float_rows, read_rho, write_csv
 from photonstats.calibration import CountHistogram
+from photonstats.detector import ClickDistribution
+from photonstats.distributions import PhotonDistribution
 from photonstats.errors import (
     ConditioningError,
     DomainError,
@@ -283,3 +287,67 @@ def test_result_serialization(tmp_path):
     assert lines[1] == "n,rho"
     assert len(lines) == result.rho.size + 2
     assert np.array_equal(read_rho(path), result.rho)
+
+
+# ------------------------------------------------------------ vector contract
+
+C4 = convolution_matrix(uniform_bins(4), n_max=4)
+EM4 = EmOptions(n_max=4, max_iter=10)
+
+
+@pytest.mark.parametrize(
+    "vector",
+    [
+        [np.nan, 0.5, 0.5, 0.0, 0.0],
+        [np.inf, 0.5, 0.5, 0.0, 0.0],
+        [-0.5, 1.5, 0.0, 0.0, 0.0],
+        [0.6, 0.5, 0.0, 0.0, 0.0],
+        [],
+        np.full((2, 2), 0.25),
+    ],
+    ids=["nan", "inf", "negative", "sum_1.1", "empty", "2d"],
+)
+@pytest.mark.parametrize(
+    "consume",
+    [
+        PhotonDistribution,
+        from_probs,
+        ClickDistribution,
+        lambda v: convolution_matrix(v, n_max=4),
+        lambda v: em_invert(v, 0.5, C4, EM4),
+        lambda v: deconvolve_clicks(v, C4),
+        lambda v: direct_invert(v, 0.5, C4),
+    ],
+    ids=[
+        "PhotonDistribution", "from_probs", "ClickDistribution", "bins",
+        "em_invert", "deconvolve_clicks", "direct_invert",
+    ],
+)
+def test_every_probability_input_rejects_a_bad_vector(consume, vector):
+    with pytest.raises((ShapeError, DomainError)):
+        consume(np.asarray(vector, dtype=float))
+
+
+ENTRY = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats(-2e-9, 1.0),
+    st.sampled_from([0.0, 0.2, 0.25, 0.5, 1.0]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(raw=st.lists(ENTRY, min_size=5, max_size=5), normalize=st.booleans())
+def test_click_distribution_and_em_share_one_rule(raw, normalize):
+    vector = np.array(raw)
+    if normalize and np.all(np.isfinite(vector)):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            vector = vector / vector.sum()
+
+    def accepts(build) -> bool:
+        try:
+            build(vector)
+        except (ShapeError, DomainError):
+            return False
+        return True
+
+    assert accepts(ClickDistribution) == accepts(lambda v: em_invert(v, 0.5, C4, EM4))

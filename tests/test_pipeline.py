@@ -296,6 +296,34 @@ def test_pipeline_direct_refusal_is_a_warning(tmp_path):
     assert cli.main(argv + ["--strict"]) == 1
 
 
+def test_pipeline_calibration_refusal_is_a_warning(tmp_path):
+    # 24 equal bins: the deconvolution block has condition number ~7.6e12
+    cfg = config_file(tmp_path, bins=np.full(24, 1 / 24), pulses=20_000)
+    out = tmp_path / "out"
+    argv = ["pipeline", "--config", str(cfg), "--out-dir", str(out)]
+    assert cli.main(argv) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["herald_count"] > 0
+    assert report["efficiency"] is None and report["inversion"] is None
+    assert any(w.startswith("calibration refused") for w in report["warnings"])
+    assert cli.main(argv + ["--strict"]) == 1
+
+
+def test_cli_calibrate_refusal_names_a_remedy(tmp_path, capsys):
+    cfg = config_file(tmp_path)
+    out = tmp_path / "out"
+    cli.main(["simulate", "--config", str(cfg), "--out-dir", str(out)])
+    capsys.readouterr()
+    code = cli.main(
+        ["calibrate", "--histogram", str(out / "histogram_t1.csv"), "--bins", "24",
+         "--out-dir", str(out)]
+    )
+    err = capsys.readouterr().err.strip().splitlines()
+    assert code == 2
+    assert len(err) == 1 and "coarser binning" in err[0]
+    assert "allow_ill_conditioned" not in err[0]
+
+
 def test_cli_pipeline_strict_on_unequal_bins(tmp_path, capsys):
     # 16 fiber-loop bins with routing falling 7 % per bin; a convolution
     # matrix with roundoff of either sign fakes a quasi-distribution dip here
