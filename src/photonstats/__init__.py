@@ -15,7 +15,6 @@ from .distributions import (
     fock,
     from_probs,
     mix,
-    moments,
     thermal,
     tms_marginal,
 )
@@ -83,7 +82,6 @@ __all__ = [
     "fock",
     "from_probs",
     "mix",
-    "moments",
     "thermal",
     "tms_marginal",
     "ClickDistribution",

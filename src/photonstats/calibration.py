@@ -71,7 +71,7 @@ class CountHistogram:
             raise InsufficientDataError(
                 f"histogram {self.trigger_label!r} holds no counts"
             )
-        return ClickDistribution(self.counts / self.total, total_counts=self.total)
+        return ClickDistribution(self.counts / self.total)
 
 
 @dataclass(frozen=True)

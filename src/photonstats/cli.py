@@ -45,18 +45,11 @@ from .artifacts import (
 )
 from .calibration import DEFAULT_SIGMA_THRESHOLD
 from .detector import convolution_matrix, loss_matrix, uniform_bins
-from .distributions import coherent, from_probs
+from .distributions import coherent, nonnegative_part
 from .errors import ConditioningError
 from .inversion import EmOptions
 from .montecarlo import ExperimentConfig, run
-from .nonclassicality import DEFAULT_TOL
-from .nonclassicality import report as witness_report
-from .pipeline import (
-    calibrate_histogram,
-    invert_histogram,
-    run_pipeline,
-    witness_tolerance,
-)
+from .pipeline import analyze_rho, calibrate_histogram, invert_histogram, run_pipeline
 
 ENV_OUT_DIR = "PHOTONSTATS_OUT_DIR"
 ENV_LOG_LEVEL = "PHOTONSTATS_LOG_LEVEL"
@@ -189,8 +182,7 @@ def cmd_invert(args) -> int:
         },
     )
     clicks = hist.to_click_distribution().probs
-    rho = np.clip(result.rho, 0.0, None)
-    overlay = overlay_rows(rho / rho.sum(), args.eta, bins, clicks)
+    overlay = overlay_rows(nonnegative_part(result.rho), args.eta, bins, clicks)
     write_csv(out / "overlay.csv", OVERLAY_HEADER, overlay, None)
     flag = " negativity flagged" if result.negativity_flag else ""
     print(
@@ -203,23 +195,9 @@ def cmd_invert(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    rho = np.clip(read_rho(args.rho), 0.0, None)
-    if rho.sum() <= 0.0:
-        raise UsageError(f"{args.rho}: rho has no positive entry")
-    rho = rho / rho.sum()
-    clicks = None
-    total = None
-    if args.histogram:
-        hist = read_histogram(args.histogram)
-        clicks = hist.to_click_distribution()
-        total = hist.total
-    if args.tol is not None:
-        tol = args.tol
-    elif total is not None:
-        tol = witness_tolerance(rho, total)
-    else:
-        tol = DEFAULT_TOL
-    witness = witness_report(from_probs(rho), clicks, tol)
+    rho = read_rho(args.rho)
+    hist = read_histogram(args.histogram) if args.histogram else None
+    witness = analyze_rho(rho, hist, args.tol)
     out = resolve_out_dir(args)
     write_json(
         out / "nonclassicality.json",
@@ -255,8 +233,7 @@ def cmd_pipeline(args) -> int:
     write_csv(out / f"histogram_{label}.csv", HISTOGRAM_HEADER, count_rows(counts), config.seed)
     inversion, witness = report["inversion"], report["nonclassicality"]
     if inversion is not None:
-        rho = np.clip(np.asarray(inversion["rho"]), 0.0, None)
-        rho = rho / rho.sum()
+        rho = nonnegative_part(inversion["rho"])
         write_csv(out / "rho.csv", RHO_HEADER, float_rows(inversion["rho"]), config.seed)
         clicks = counts / counts.sum()
         write_csv(

@@ -92,14 +92,9 @@ class ConvolutionMatrix:
 
 @dataclass(frozen=True)
 class ClickDistribution:
-    """Distribution of the occupied-bin count k = 0 .. n_bins.
-
-    total_counts is None for analytic distributions and carries the sample
-    size when the probabilities are empirical frequencies.
-    """
+    """Distribution of the occupied-bin count k = 0 .. n_bins."""
 
     probs: np.ndarray
-    total_counts: int | None = None
 
     def __post_init__(self):
         probs = probability_vector(self.probs, "click probability")

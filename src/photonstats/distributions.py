@@ -42,6 +42,18 @@ def probability_vector(values, what: str) -> np.ndarray:
     return np.clip(probs, 0.0, None)
 
 
+def nonnegative_part(values) -> np.ndarray:
+    """values clipped at 0 and renormalized to sum to 1: the proper
+    distribution that stands for a quasi-distribution, such as a direct
+    inversion's output, wherever one is required.  Raises DomainError when
+    no entry is positive or the clipped entries have no finite sum."""
+    probs = np.clip(np.asarray(values, dtype=float), 0.0, None)
+    total = probs.sum()
+    if not 0.0 < total < math.inf:
+        raise DomainError(f"rho clipped at 0 sums to {float(total)}; need a finite sum > 0")
+    return probs / total
+
+
 @dataclass(frozen=True)
 class PhotonDistribution:
     """Probability distribution over photon number 0 .. n_max.
@@ -205,8 +217,3 @@ def mix(
         tail = float(full[n_keep:].sum())
         return _truncate(kept, tail, max_tail)
     raise DomainError(f"mode must be 'convex' or 'convolve', got {mode!r}")
-
-
-def moments(p: PhotonDistribution) -> tuple[float, float]:
-    """Return (mean, variance) of the photon number."""
-    return p.mean(), p.variance()

@@ -122,9 +122,8 @@ def loss_matrix_inverse(eta: float, n_max: int = DEFAULT_N_MAX) -> np.ndarray:
     return _thinning_matrix(1.0 / eta, n_max)
 
 
-def _click_frequencies(data, n_rows: int) -> tuple[np.ndarray, int | None]:
+def _click_frequencies(data, n_rows: int) -> np.ndarray:
     """Normalize histogram / distribution / vector input to frequencies."""
-    total = None
     if isinstance(data, CountHistogram):
         total = data.total
         if total == 0:
@@ -132,7 +131,6 @@ def _click_frequencies(data, n_rows: int) -> tuple[np.ndarray, int | None]:
         freq = data.counts / total
     elif isinstance(data, ClickDistribution):
         freq = np.asarray(data.probs, dtype=float)
-        total = data.total_counts
     else:
         freq = probability_vector(data, "click frequency")
     if freq.size > n_rows:
@@ -143,7 +141,7 @@ def _click_frequencies(data, n_rows: int) -> tuple[np.ndarray, int | None]:
         freq = freq[:n_rows]
     elif freq.size < n_rows:
         freq = np.concatenate([freq, np.zeros(n_rows - freq.size)])
-    return freq, total
+    return freq
 
 
 def deconvolve_clicks(p_click, c: ConvolutionMatrix) -> np.ndarray:
@@ -155,7 +153,7 @@ def deconvolve_clicks(p_click, c: ConvolutionMatrix) -> np.ndarray:
     unclipped, with a QuasiDistributionWarning.
     """
     n_rows = c.matrix.shape[0]
-    freq, _ = _click_frequencies(p_click, n_rows)
+    freq = _click_frequencies(p_click, n_rows)
     if c.n_max < c.n_bins:
         raise ShapeError(
             f"convolution matrix must cover photon numbers up to {c.n_bins}"
@@ -189,18 +187,21 @@ def direct_invert(
     Exact on noise-free data from a source confined below the click
     resolution; on real data the unconstrained solve amplifies sampling
     noise and can leave negative entries, reported via negativity_flag.
+
+    Raises ConditioningError when the composite response C L(eta) has a
+    condition number above CONDITION_LIMIT; allow_ill_conditioned=True
+    solves anyway and records the condition number in the result.
     """
     n_rows = c.matrix.shape[0]
     dim = n_rows - 1
     block = c.matrix[:, :n_rows]
-    freq, _ = _click_frequencies(p_click, n_rows)
+    freq = _click_frequencies(p_click, n_rows)
     linv = loss_matrix_inverse(eta, dim)
     composite = block @ _thinning_matrix(eta, dim)
     cond = float(np.linalg.cond(composite))
     if cond > CONDITION_LIMIT and not allow_ill_conditioned:
         raise ConditioningError(
-            f"composite response has condition number {cond:.3e} > "
-            f"{CONDITION_LIMIT:.0e}; pass allow_ill_conditioned=True to force"
+            f"composite response has condition number {cond:.3e} > {CONDITION_LIMIT:.0e}"
         )
     rho = linv @ np.linalg.solve(block, freq)
     min_entry = float(rho.min())
@@ -241,7 +242,7 @@ def em_invert(
             f"convolution matrix covers n <= {c.n_max}, need {options.n_max}"
         )
     n_rows = c.matrix.shape[0]
-    freq, _ = _click_frequencies(data, n_rows)
+    freq = _click_frequencies(data, n_rows)
     dim = options.n_max + 1
     response = c.matrix[:, :dim] @ _thinning_matrix(eta, options.n_max)
     observed = freq > 0

@@ -22,35 +22,46 @@ from dataclasses import dataclass
 import numpy as np
 
 from .detector import ClickDistribution
-from .distributions import PhotonDistribution
-from .errors import DomainError, ShapeError
+from .distributions import PhotonDistribution, probability_vector
+from .errors import DomainError
 
 DEFAULT_TOL = 1e-9
 
 
 def _probs_of(p) -> np.ndarray:
     if isinstance(p, (PhotonDistribution, ClickDistribution)):
-        return np.asarray(p.probs, dtype=float)
-    arr = np.asarray(p, dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ShapeError("statistics must be a nonempty 1-D probability vector")
-    return arr
+        return p.probs
+    return probability_vector(p, "probability")
+
+
+def _moments(probs: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """Count axis, mean and second moment; DomainError at zero mean."""
+    n = np.arange(probs.size, dtype=float)
+    mean = float(n @ probs)
+    if mean <= 0.0:
+        raise DomainError("Mandel Q is undefined at zero mean (vacuum statistics)")
+    return n, mean, float((n * n) @ probs)
+
+
+def _delta_std_err(probs: np.ndarray, grad: np.ndarray, total_counts: int) -> float:
+    """Standard error of a statistic with gradient grad in the
+    probabilities, under multinomial sampling of total_counts events."""
+    if total_counts < 1:
+        raise DomainError(f"total_counts must be at least 1, got {total_counts}")
+    centered = grad - float(probs @ grad)
+    variance = float(probs @ centered**2) / total_counts
+    return float(np.sqrt(max(variance, 0.0)))
 
 
 def mandel_q(p) -> float:
     """Mandel Q parameter (variance - mean)/mean of a count distribution.
 
-    Accepts a PhotonDistribution, a ClickDistribution, or a bare
-    probability vector.  Undefined for vacuum.
+    Accepts a PhotonDistribution, a ClickDistribution, or a probability
+    vector that passes distributions.probability_vector.  Undefined for
+    vacuum.
     """
-    probs = _probs_of(p)
-    n = np.arange(probs.size, dtype=float)
-    mean = float(n @ probs)
-    if mean <= 0.0:
-        raise DomainError("Mandel Q is undefined at zero mean (vacuum statistics)")
-    second = float((n * n) @ probs)
-    variance = second - mean * mean
-    return (variance - mean) / mean
+    _, mean, second = _moments(_probs_of(p))
+    return (second - mean * mean - mean) / mean
 
 
 def mandel_q_std_err(p, total_counts: int) -> float:
@@ -58,19 +69,26 @@ def mandel_q_std_err(p, total_counts: int) -> float:
 
     total_counts is the number of events behind the empirical vector p.
     """
-    if total_counts < 1:
-        raise DomainError(f"total_counts must be at least 1, got {total_counts}")
     probs = _probs_of(p)
-    n = np.arange(probs.size, dtype=float)
-    mean = float(n @ probs)
-    if mean <= 0.0:
-        raise DomainError("Mandel Q is undefined at zero mean (vacuum statistics)")
-    second = float((n * n) @ probs)
+    n, mean, second = _moments(probs)
     # gradient of Q = second/mean - mean - 1 in the probabilities
     grad = n * n / mean - second * n / mean**2 - n
-    centered = grad - float(probs @ grad)
-    variance = float(probs @ centered**2) / total_counts
-    return float(np.sqrt(max(variance, 0.0)))
+    return _delta_std_err(probs, grad, total_counts)
+
+
+def _b_probs(p, n: int) -> np.ndarray:
+    probs = _probs_of(p)
+    if n < 0 or n + 2 >= probs.size:
+        raise DomainError(
+            f"B({n}) needs probabilities up to n={n + 2}, have n_max={probs.size - 1}"
+        )
+    return probs
+
+
+def _b_values(probs: np.ndarray) -> np.ndarray:
+    """B(n) for n = 0 .. size - 3; empty below three entries."""
+    n = np.arange(probs.size - 2, dtype=float)
+    return (n + 2) * probs[:-2] * probs[2:] - (n + 1) * probs[1:-1] ** 2
 
 
 def b_criterion(p, n: int) -> float:
@@ -79,39 +97,22 @@ def b_criterion(p, n: int) -> float:
     Requires support up to n+2; negative output at any n certifies a
     nonclassical distribution.
     """
-    probs = _probs_of(p)
-    if n < 0 or n + 2 >= probs.size:
-        raise DomainError(
-            f"B({n}) needs probabilities up to n={n + 2}, have n_max={probs.size - 1}"
-        )
-    return float((n + 2) * probs[n] * probs[n + 2] - (n + 1) * probs[n + 1] ** 2)
+    return float(_b_values(_b_probs(p, n))[n])
 
 
 def b_std_err(p, n: int, total_counts: int) -> float:
     """Delta-method standard error of B(n) under multinomial sampling."""
-    if total_counts < 1:
-        raise DomainError(f"total_counts must be at least 1, got {total_counts}")
-    probs = _probs_of(p)
-    if n < 0 or n + 2 >= probs.size:
-        raise DomainError(
-            f"B({n}) needs probabilities up to n={n + 2}, have n_max={probs.size - 1}"
-        )
+    probs = _b_probs(p, n)
     grad = np.zeros(probs.size)
     grad[n] = (n + 2) * probs[n + 2]
     grad[n + 1] = -2.0 * (n + 1) * probs[n + 1]
     grad[n + 2] = (n + 2) * probs[n]
-    centered = grad - float(probs @ grad)
-    variance = float(probs @ centered**2) / total_counts
-    return float(np.sqrt(max(variance, 0.0)))
+    return _delta_std_err(probs, grad, total_counts)
 
 
 def b_sweep(p) -> np.ndarray:
     """B(n) for every n with support, n = 0 .. n_max - 2."""
-    probs = _probs_of(p)
-    if probs.size < 3:
-        return np.zeros(0)
-    n = np.arange(probs.size - 2, dtype=float)
-    return (n + 2) * probs[:-2] * probs[2:] - (n + 1) * probs[1:-1] ** 2
+    return _b_values(_probs_of(p))
 
 
 @dataclass(frozen=True)

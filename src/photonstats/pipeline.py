@@ -29,7 +29,7 @@ from .calibration import (
     single_trigger_efficiency,
 )
 from .detector import convolution_matrix
-from .distributions import fock, from_probs
+from .distributions import fock, from_probs, nonnegative_part
 from .errors import ConditioningError, DomainError, InsufficientDataError
 from .inversion import (
     EmOptions,
@@ -39,7 +39,7 @@ from .inversion import (
     fidelity,
 )
 from .montecarlo import ExperimentConfig, run
-from .nonclassicality import b_std_err, mandel_q_std_err
+from .nonclassicality import DEFAULT_TOL, NonclassicalityReport, b_std_err, mandel_q_std_err
 from .nonclassicality import report as witness_report
 
 
@@ -136,12 +136,32 @@ def invert_histogram(
 
 def witness_tolerance(rho: np.ndarray, total: int) -> float:
     """3-sigma flag threshold from delta-method errors on the witnesses."""
-    sigmas = [b_std_err(rho, n, total) for n in range(rho.size - 2)]
+    dist = from_probs(rho)  # checked once, not once per witness
+    sigmas = [b_std_err(dist, n, total) for n in range(dist.n_max - 1)]
     try:
-        sigmas.append(mandel_q_std_err(rho, total))
+        sigmas.append(mandel_q_std_err(dist, total))
     except DomainError:
         pass
-    return 3.0 * max(sigmas) if sigmas else 1e-9
+    return 3.0 * max(sigmas) if sigmas else DEFAULT_TOL
+
+
+def analyze_rho(
+    rho, hist: CountHistogram | None = None, tol: float | None = None
+) -> NonclassicalityReport:
+    """Witnesses on a reconstruction, the one path from rho to the flags.
+
+    rho is clipped at 0 and renormalized first (nonnegative_part), so a
+    direct inversion's quasi-distribution can be analyzed.  hist adds the
+    detected-side Q.  The flag threshold is tol if given, else
+    witness_tolerance on hist's counts, else DEFAULT_TOL.
+    """
+    rho = nonnegative_part(rho)
+    clicks = None
+    if hist is not None:
+        clicks = hist.to_click_distribution()
+        if tol is None:
+            tol = witness_tolerance(rho, hist.total)
+    return witness_report(from_probs(rho), clicks, DEFAULT_TOL if tol is None else tol)
 
 
 def run_pipeline(
@@ -210,13 +230,8 @@ def run_pipeline(
         report["warnings"].append(
             "direct inversion produced negative entries; model assumptions suspect"
         )
-    clicks = hist.to_click_distribution()
-    rho = np.clip(inv.rho, 0.0, None)
-    rho = rho / rho.sum()
-    tol = witness_tolerance(rho, output.herald_count)
-    witness = witness_report(from_probs(rho), clicks, tol)
-    report["nonclassicality"] = witness.to_dict() | {
+    report["nonclassicality"] = analyze_rho(inv.rho, hist).to_dict() | {
         "tol_basis": "3 sigma, delta method on the herald count",
-        "detected_mean": float(clicks.mean()),
+        "detected_mean": float(hist.to_click_distribution().mean()),
     }
     return report

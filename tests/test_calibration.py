@@ -210,7 +210,6 @@ def test_estimate_to_dict_maps_nan_to_none():
 def test_fock_click_distribution_round_trip():
     hist = CountHistogram(np.array([620, 370, 10]))
     clicks = hist.to_click_distribution()
-    assert clicks.total_counts == 1000
     assert clicks.probs[1] == pytest.approx(0.37, abs=1e-15)
 
 

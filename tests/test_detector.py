@@ -178,8 +178,7 @@ def test_compose_matches_forward_model():
 def test_click_distribution_validation():
     with pytest.raises(DomainError):
         ClickDistribution(np.array([0.6, 0.6]))
-    d = ClickDistribution(np.array([0.5, 0.5]), total_counts=100)
-    assert d.total_counts == 100
+    d = ClickDistribution(np.array([0.5, 0.5]))
     assert d.mean() == pytest.approx(0.5)
 
 

@@ -36,6 +36,13 @@ from photonstats.inversion import (
     fidelity,
     loss_matrix_inverse,
 )
+from photonstats.nonclassicality import (
+    b_criterion,
+    b_std_err,
+    b_sweep,
+    mandel_q,
+    mandel_q_std_err,
+)
 
 
 def fsum_matmul(a, b):
@@ -317,10 +324,16 @@ EM4 = EmOptions(n_max=4, max_iter=10)
         lambda v: em_invert(v, 0.5, C4, EM4),
         lambda v: deconvolve_clicks(v, C4),
         lambda v: direct_invert(v, 0.5, C4),
+        mandel_q,
+        lambda v: mandel_q_std_err(v, 100),
+        lambda v: b_criterion(v, 0),
+        lambda v: b_std_err(v, 0, 100),
+        b_sweep,
     ],
     ids=[
         "PhotonDistribution", "from_probs", "ClickDistribution", "bins",
         "em_invert", "deconvolve_clicks", "direct_invert",
+        "mandel_q", "mandel_q_std_err", "b_criterion", "b_std_err", "b_sweep",
     ],
 )
 def test_every_probability_input_rejects_a_bad_vector(consume, vector):
@@ -350,4 +363,6 @@ def test_click_distribution_and_em_share_one_rule(raw, normalize):
             return False
         return True
 
-    assert accepts(ClickDistribution) == accepts(lambda v: em_invert(v, 0.5, C4, EM4))
+    verdict = accepts(ClickDistribution)
+    assert accepts(lambda v: em_invert(v, 0.5, C4, EM4)) == verdict
+    assert accepts(b_sweep) == verdict

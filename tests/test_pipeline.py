@@ -10,7 +10,7 @@ from photonstats import cli
 from photonstats.artifacts import read_histogram, read_rho
 from photonstats.calibration import CountHistogram
 from photonstats.heralding import HeraldConfig, TriggerKind
-from photonstats.montecarlo import ExperimentConfig
+from photonstats.montecarlo import Contaminant, ExperimentConfig
 from photonstats.pipeline import run_pipeline, witness_tolerance
 
 SINGLE = HeraldConfig(kind=TriggerKind.SINGLE_APD, eta_trigger=0.25)
@@ -290,6 +290,7 @@ def test_pipeline_direct_refusal_is_a_warning(tmp_path):
     assert report["inversion"] is None
     assert report["nonclassicality"] is None
     assert any("refused" in w for w in report["warnings"])
+    assert not any("allow_ill_conditioned" in w for w in report["warnings"])
     cfg = config_file(tmp_path, **low)
     argv = ["pipeline", "--config", str(cfg), "--method", "direct", "--out-dir", str(tmp_path)]
     assert cli.main(argv) == 0
@@ -322,6 +323,39 @@ def test_cli_calibrate_refusal_names_a_remedy(tmp_path, capsys):
     assert code == 2
     assert len(err) == 1 and "coarser binning" in err[0]
     assert "allow_ill_conditioned" not in err[0]
+
+
+def test_cli_direct_refusal_states_only_the_condition(tmp_path, capsys):
+    cfg = config_file(tmp_path)
+    out = tmp_path / "out"
+    cli.main(["simulate", "--config", str(cfg), "--out-dir", str(out)])
+    capsys.readouterr()
+    code = cli.main(
+        ["invert", "--histogram", str(out / "histogram_t1.csv"), "--method", "direct",
+         "--eta", "0.012", "--out-dir", str(out)]
+    )
+    err = capsys.readouterr().err.strip().splitlines()
+    assert code == 2
+    assert len(err) == 1 and "condition number" in err[0]
+    assert "allow_ill_conditioned" not in err[0]
+
+
+def test_cli_analyze_matches_pipeline_on_a_direct_quasi_distribution(tmp_path):
+    # a bright coherent contaminant drives the direct solve negative
+    cfg = config_file(tmp_path, contaminant=Contaminant("coherent", 1.0))
+    out = tmp_path / "out"
+    assert cli.main(
+        ["pipeline", "--config", str(cfg), "--method", "direct", "--out-dir", str(out)]
+    ) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["inversion"]["min_entry"] < 0
+    assert cli.main(
+        ["analyze", "--rho", str(out / "rho.csv"), "--histogram",
+         str(out / "histogram_t1.csv"), "--out-dir", str(out)]
+    ) == 0
+    nc = json.loads((out / "nonclassicality.json").read_text())["nonclassicality"]
+    for key in ("q_inferred", "b_values", "tol"):
+        assert nc[key] == report["nonclassicality"][key], key
 
 
 def test_cli_pipeline_strict_on_unequal_bins(tmp_path, capsys):
