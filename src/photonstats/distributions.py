@@ -38,7 +38,7 @@ def probability_vector(values, what: str) -> np.ndarray:
     with np.errstate(over="ignore"):  # entries near the float limit sum to inf
         total = probs.sum()
     if not abs(total - 1.0) <= NORMALIZATION_TOL:
-        raise DomainError(f"{what} entries sum to {total!r}, not 1")
+        raise DomainError(f"{what} entries sum to {float(total)}, not 1")
     return np.clip(probs, 0.0, None)
 
 

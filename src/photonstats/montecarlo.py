@@ -32,6 +32,9 @@ GENERATOR = "philox4x64"
 CHUNK_PULSES = 1 << 20
 # surviving photons routed to bins per step of the signal-arm sampler
 PHOTON_SLICE = 1 << 16
+# raw generator words drawn per step of the pair-number and dark-click
+# samplers, so no chunk-length word buffer is ever held
+WORD_BLOCK = 1 << 16
 # keep counts exactly representable and memory sane
 MAX_PULSES = 1 << 53
 
@@ -137,48 +140,116 @@ class SimulationOutput:
     generator: str = GENERATOR
 
 
-def _pair_numbers(rng, q: float, size: int) -> np.ndarray:
+# numpy's Generator.geometric(p) searches its partial sums at p >= this
+# value and inverts an exponential below it (random_geometric in numpy's C).
+# Both of its branches, and Generator.random, turn a raw 64-bit word w into
+# the uniform double u = (w >> 11) * 2**-53.
+GEOMETRIC_SEARCH_MIN_P = 0.333333333333333333333333
+
+
+def _search_sums(p: float, top: float) -> np.ndarray:
+    """numpy's geometric search sums p, p + pq, ... in its loop's order, up to
+    the first at or above top or until they stop growing."""
+    q = 1.0 - p
+    total = prod = p
+    sums = [total]
+    while total < top:
+        prod *= q
+        if total + prod == total:
+            break
+        total += prod
+        sums.append(total)
+    return np.array(sums)
+
+
+def _word_blocks(rng, size: int):
+    """The next size raw words as (start, words) blocks of WORD_BLOCK;
+    successive random_raw calls give the same words as one call."""
+    for start in range(0, size, WORD_BLOCK):
+        yield start, rng.bit_generator.random_raw(min(WORD_BLOCK, size - start))
+
+
+def _pair_numbers(rng, q: float, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Indices of the pulses that carry pairs, and their pair numbers.
+
+    Consumes the same words and gives the same values as
+    rng.geometric(1 - q, size) - 1.  numpy's search draws one uniform u per
+    pulse and returns 1 plus the number of its partial sums below u.  So a
+    pulse is empty exactly when w >> 11 <= floor(p * 2**53), an integer test
+    on the raw word, and only the busy pulses need the search.  Where numpy's
+    loop would never end (u above the limit its sums round to) the pulse
+    gets the sums' count.
+    """
     if q == 0.0:
-        return np.zeros(size, dtype=np.int64)
-    n = rng.geometric(1.0 - q, size)
-    n -= 1
-    return n
+        none = np.zeros(0, dtype=np.int64)
+        return none, none
+    p = 1.0 - q
+    if p < GEOMETRIC_SEARCH_MIN_P:
+        # numpy inverts a ziggurat exponential here; its word use cannot be replayed
+        n = rng.geometric(p, size)
+        n -= 1
+        busy = np.flatnonzero(n)
+        return busy, n[busy]
+    empty_max = np.uint64(min(math.floor(p * 2**53) << 11 | 0x7FF, 2**64 - 1))
+    busy, busy_words = [], []
+    for start, words in _word_blocks(rng, size):
+        hit = np.flatnonzero(words > empty_max)
+        busy.append(hit + start)
+        busy_words.append(words[hit])
+    u = (np.concatenate(busy_words) >> np.uint64(11)) * 2.0**-53
+    return np.concatenate(busy), np.searchsorted(_search_sums(p, u.max(initial=p)), u)
 
 
 def _apd_clicks(rng, size: int, dark: float, fired: np.ndarray) -> np.ndarray:
     """Per-pulse click mask of one APD: a dark click on any pulse, or a
-    photon click on the pulses indexed by fired."""
-    click = rng.random(size) < dark
+    photon click on the pulses indexed by fired.
+
+    The dark test rng.random(size) < dark holds exactly when
+    w >> 11 < ceil(dark * 2**53), so it runs on the raw words; for dark < 1
+    the threshold fits in 64 bits.
+    """
+    dark_max = np.uint64(math.ceil(dark * 2**53) << 11)
+    click = np.empty(size, dtype=bool)
+    for start, words in _word_blocks(rng, size):
+        np.less(words, dark_max, out=click[start : start + words.size])
     click[fired] = True
     return click
 
 
-def _heralded(rng, n: np.ndarray, herald: HeraldConfig) -> np.ndarray:
-    """Indices of the pulses whose trigger fires.
+def _heralded(
+    rng, size: int, busy: np.ndarray, pairs: np.ndarray, herald: HeraldConfig
+) -> np.ndarray:
+    """Pair numbers of the pulses whose trigger fires, in pulse order.
 
     The photon binomials run only on pulses that carry photons: a binomial
     with zero trials draws nothing from the generator, so this consumes the
     same words in the same order as running them over every pulse.
     """
     if herald.kind is TriggerKind.IDEAL_K_RESOLVING:
-        return np.flatnonzero(n == herald.resolve_k)
+        if herald.resolve_k == 0:
+            return np.zeros(size - busy.size, dtype=np.int64)
+        return pairs[pairs == herald.resolve_k]
     dark = herald.dark_click_prob
-    busy = np.flatnonzero(n)
-    photons = n[busy]
     if herald.kind is TriggerKind.SINGLE_APD:
-        fired = busy[rng.binomial(photons, herald.eta_trigger) > 0]
-        if dark > 0:
-            return np.flatnonzero(_apd_clicks(rng, n.size, dark, fired))
-        return fired
-    # coincidence: per photon, reach APD a or b with probability eta/2 each
-    half = herald.eta_trigger / 2.0
-    a = rng.binomial(photons, half)
-    b = rng.binomial(photons - a, half / (1.0 - half))
-    if dark > 0:
-        click_a = _apd_clicks(rng, n.size, dark, busy[a > 0])
-        click_b = _apd_clicks(rng, n.size, dark, busy[b > 0])
-        return np.flatnonzero(click_a & click_b)
-    return busy[(a > 0) & (b > 0)]
+        fired = rng.binomial(pairs, herald.eta_trigger) > 0
+        if dark == 0:
+            return pairs[fired]
+        click = _apd_clicks(rng, size, dark, busy[fired])
+    else:
+        # coincidence: per photon, reach APD a or b with probability eta/2 each
+        half = herald.eta_trigger / 2.0
+        a = rng.binomial(pairs, half)
+        b = rng.binomial(pairs - a, half / (1.0 - half))
+        if dark == 0:
+            return pairs[(a > 0) & (b > 0)]
+        click = _apd_clicks(rng, size, dark, busy[a > 0])
+        click &= _apd_clicks(rng, size, dark, busy[b > 0])
+    heralded = np.flatnonzero(click)
+    # a dark-only herald carries 0 pairs
+    photons = np.zeros(heralded.size, dtype=np.int64)
+    _, at, of = np.intersect1d(heralded, busy, assume_unique=True, return_indices=True)
+    photons[at] = pairs[of]
+    return photons
 
 
 def _signal_clicks(rng, photons: np.ndarray, transmission: float, bins: np.ndarray) -> np.ndarray:
@@ -209,22 +280,21 @@ def _signal_clicks(rng, photons: np.ndarray, transmission: float, bins: np.ndarr
 
 def _run_chunk(config: ExperimentConfig, chunk_index: int, size: int) -> tuple[np.ndarray, int]:
     rng = np.random.Generator(np.random.Philox(key=config.seed).jumped(chunk_index))
-    n = _pair_numbers(rng, config.parametric_gain**2, size)
-    heralded = _heralded(rng, n, config.herald)
+    busy, pairs = _pair_numbers(rng, config.parametric_gain**2, size)
+    photons = _heralded(rng, size, busy, pairs, config.herald)
     n_bins = config.bins.size
-    if heralded.size == 0:
+    if photons.size == 0:
         return np.zeros(n_bins + 1, dtype=np.int64), 0
-    photons = n[heralded]
     if config.contaminant is not None and config.contaminant.mean > 0:
         mean = config.contaminant.mean
         if config.contaminant.kind == "coherent":
-            photons = photons + rng.poisson(mean, heralded.size)
+            photons = photons + rng.poisson(mean, photons.size)
         else:
-            photons = photons + rng.geometric(1.0 / (1.0 + mean), heralded.size) - 1
+            photons = photons + rng.geometric(1.0 / (1.0 + mean), photons.size) - 1
     clicks = _signal_clicks(
         rng, photons, config.eta_signal * config.extra_transmission, config.bins
     )
-    return np.bincount(clicks, minlength=n_bins + 1), int(heralded.size)
+    return np.bincount(clicks, minlength=n_bins + 1), int(photons.size)
 
 
 def run(config: ExperimentConfig, threads: int = 1) -> SimulationOutput:

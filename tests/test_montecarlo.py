@@ -324,6 +324,12 @@ STREAM_PINS = {
              pulses=_TWO_CHUNKS, seed=108),
         28937, [919, 9774, 15391, 2462, 342, 43, 6, 0, 0],
     ),
+    # g^2 above 2/3: pair numbers come from numpy's own geometric inversion
+    "single_geometric_inversion": (
+        dict(parametric_gain=0.85, herald=HeraldConfig(kind=TriggerKind.SINGLE_APD,
+             eta_trigger=0.25), eta_signal=0.5, pulses=50_000, seed=109),
+        19862, [2764, 5818, 5019, 3242, 1820, 776, 310, 94, 19],
+    ),
 }
 
 
@@ -335,3 +341,62 @@ def test_stream_is_pinned(name, threads):
     out = run(config, threads=threads)
     assert out.herald_count == herald_count
     assert out.histograms[config.herald.trigger_label].counts.tolist() == counts
+
+
+def _philox(key):
+    return np.random.Generator(np.random.Philox(key=key))
+
+
+# The first uniform u of a stream is k / 2^53 for some k.  With p = u (the
+# pair sampler) or dark = u (the dark test) that pulse sits exactly on the
+# sampler's threshold.
+_U13 = float(_philox(13).random())
+_U11 = float(_philox(11).random())
+
+
+# At this p numpy's second partial sum p + p(1 - p) equals _U13 exactly.
+_P_SUM_AT_U13 = 0.7811823022694925
+
+
+# g^2 = 2/3 is the last value numpy's geometric(1 - g^2) samples by search
+# (p >= 1/3); the next double above it takes numpy's inversion branch
+@pytest.mark.parametrize(
+    "q",
+    [1e-18, 0.0361, 0.16, 1.0 - _U13, 1.0 - _P_SUM_AT_U13, 2 / 3,
+     float(np.nextafter(2 / 3, 1))],
+)
+def test_pair_sampler_replays_numpy_geometric(q):
+    size = 3 * montecarlo.WORD_BLOCK + 1000  # ends in a partial block
+    ours, ref = _philox(13), _philox(13)
+    busy, pairs = montecarlo._pair_numbers(ours, q, size)
+    expected = ref.geometric(1.0 - q, size) - 1
+    assert np.array_equal(busy, np.flatnonzero(expected))
+    assert np.array_equal(pairs, expected[busy])
+    assert ours.random() == ref.random()
+
+
+def test_pair_sampler_draws_nothing_at_zero_gain():
+    ours, ref = _philox(13), _philox(13)
+    busy, pairs = montecarlo._pair_numbers(ours, 0.0, 1000)
+    assert busy.size == pairs.size == 0
+    assert ours.random() == ref.random()
+
+
+def test_search_sums_stop_where_they_stop_growing():
+    # at this p numpy's partial sums round to a limit below 1 - 2^-53
+    sums = montecarlo._search_sums(0.5131911425092469, 1.0 - 2.0**-53)
+    assert sums[-1] < 1.0 - 2.0**-53
+    assert np.all(np.diff(sums) > 0)
+
+
+@pytest.mark.parametrize(
+    "dark",
+    [5e-324, 6e-4, 1e-3, _U11, float(np.nextafter(_U11, 1.0)),
+     float(np.nextafter(1.0, 0.0))],
+)
+def test_dark_clicks_replay_numpy_uniforms(dark):
+    size = 3 * montecarlo.WORD_BLOCK + 1000  # ends in a partial block
+    ours, ref = _philox(11), _philox(11)
+    click = montecarlo._apd_clicks(ours, size, dark, np.zeros(0, dtype=np.int64))
+    assert np.array_equal(click, ref.random(size) < dark)
+    assert ours.random() == ref.random()

@@ -161,6 +161,18 @@ def test_cli_simulate_rejects_nan_bins(tmp_path, capsys):
     assert len(err) == 1 and "non-finite" in err[0]
 
 
+def test_cli_bin_sum_error_prints_a_plain_number(tmp_path, capsys):
+    hist = tmp_path / "h.csv"
+    hist.write_text("clicks,count\n0,600\n1,350\n2,50\n")
+    code = cli.main(
+        ["calibrate", "--histogram", str(hist), "--bins", "0.5,0.6",
+         "--out-dir", str(tmp_path / "out")]
+    )
+    err = capsys.readouterr().err.strip().splitlines()
+    assert code == 2
+    assert len(err) == 1 and "sum to 1.1, not 1" in err[0]
+
+
 def test_cli_invert_rejects_eta_zero(tmp_path, capsys):
     cfg = config_file(tmp_path)
     out = tmp_path / "out"
