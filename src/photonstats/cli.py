@@ -7,9 +7,13 @@ Commands
     analyze     nonclassicality witnesses on reconstructed statistics
     pipeline    simulate, calibrate, invert, analyze in one pass
 
-Exit codes: 0 on success; 1 when --strict escalates recorded warnings
-(inconsistent estimators, negativity, empty heralds); 2 for usage,
-configuration, and domain errors.
+Every command prints each warning it records (inconsistent estimators,
+a deconvolution dip, negativity, non-convergence, empty heralds, witness
+notes) on stderr as "warning: <text>", then its summary line.
+
+Exit codes: 0 on success; 1 exactly when --strict is set and the command
+recorded at least one warning; 2 for usage, configuration, and domain
+errors, an ill-conditioned solve included.
 
 Environment: PHOTONSTATS_OUT_DIR sets the default output directory,
 PHOTONSTATS_LOG_LEVEL the logging level.  Nothing else is read from the
@@ -23,6 +27,7 @@ import dataclasses
 import json
 import logging
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -75,6 +80,17 @@ def resolve_out_dir(args) -> Path:
     return path
 
 
+def trigger_order(label: str) -> int:
+    """The heralded photon number k of a trigger label "t<k>", the only
+    form HeraldConfig.trigger_label writes."""
+    match = re.fullmatch(r"t(0|[1-9][0-9]*)", label)
+    if match is None:
+        raise UsageError(
+            f"--trigger must be t<k> with k a nonnegative integer, got {label!r}"
+        )
+    return int(match.group(1))
+
+
 def parse_bins(text: str) -> np.ndarray:
     """--bins accepts a bin count ('8') or routing probabilities ('0.5,0.3,0.2')."""
     if "," not in text:
@@ -98,6 +114,15 @@ def overlay_rows(rho: np.ndarray, eta: float, bins: np.ndarray, clicks: np.ndarr
         observed = float(clicks[k]) if k < clicks.size else 0.0
         rows.append([k, repr(observed), repr(float(reference[k]))])
     return rows
+
+
+def finish(args, summary: str, warnings) -> int:
+    """The one ending of every command: each warning on stderr, the summary
+    on stdout, and exit 1 exactly when --strict meets a warning."""
+    for line in warnings:
+        print(f"warning: {line}", file=sys.stderr)
+    print(summary)
+    return 1 if args.strict and warnings else 0
 
 
 # ---------------------------------------------------------------- commands
@@ -124,21 +149,15 @@ def cmd_simulate(args) -> int:
             "pulses_run": output.pulses_run,
         },
     )
-    print(
-        f"simulated {output.pulses_run} pulses, {output.herald_count} heralds "
-        f"-> {out}"
-    )
-    return 0
+    summary = f"simulated {output.pulses_run} pulses, {output.herald_count} heralds -> {out}"
+    return finish(args, summary, [])
 
 
 def cmd_calibrate(args) -> int:
+    order = trigger_order(args.trigger)
     hist = read_histogram(args.histogram, trigger_label=args.trigger)
-    order = int(args.trigger[1:]) if args.trigger[1:].isdigit() else 1
     bins = parse_bins(args.bins)
-    try:
-        section, notes = calibrate_histogram(hist, bins, order, args.sigma_threshold)
-    except ConditioningError as err:
-        raise UsageError(f"{err} (coarser binning avoids the solve)") from err
+    section, notes = calibrate_histogram(hist, bins, order, args.sigma_threshold)
     out = resolve_out_dir(args)
     write_json(
         out / "calibration.json",
@@ -152,22 +171,15 @@ def cmd_calibrate(args) -> int:
     verdict = "consistent" if section["consistent"] else "INCONSISTENT"
     if section["consistent"] is None:
         verdict = "single estimator"
-    print(f"eta = {eta if eta is not None else 'undefined'} ({verdict}) -> {out}")
-    if args.strict and (section["consistent"] is False or eta is None):
-        return 1
-    return 0
+    summary = f"eta = {eta if eta is not None else 'undefined'} ({verdict}) -> {out}"
+    return finish(args, summary, notes)
 
 
 def cmd_invert(args) -> int:
     hist = read_histogram(args.histogram)
     bins = parse_bins(args.bins)
     options = EmOptions(tol=args.tol, max_iter=args.max_iter, n_max=args.n_max)
-    try:
-        result = invert_histogram(hist, args.eta, bins, args.method, options)
-    except ConditioningError as err:
-        raise UsageError(
-            f"{err} (coarser binning or the EM method avoid the solve)"
-        ) from err
+    result = invert_histogram(hist, args.eta, bins, args.method, options)
     out = resolve_out_dir(args)
     write_csv(out / "rho.csv", RHO_HEADER, float_rows(result.rho), None)
     write_json(
@@ -185,13 +197,11 @@ def cmd_invert(args) -> int:
     overlay = overlay_rows(nonnegative_part(result.rho), args.eta, bins, clicks)
     write_csv(out / "overlay.csv", OVERLAY_HEADER, overlay, None)
     flag = " negativity flagged" if result.negativity_flag else ""
-    print(
+    summary = (
         f"method={result.method} iterations={result.iterations} "
         f"converged={result.converged}{flag} -> {out}"
     )
-    if args.strict and (result.negativity_flag or not result.converged):
-        return 1
-    return 0
+    return finish(args, summary, result.warnings())
 
 
 def cmd_analyze(args) -> int:
@@ -207,13 +217,11 @@ def cmd_analyze(args) -> int:
         },
     )
     write_csv(out / "b_values.csv", B_HEADER, float_rows(witness.b_values), None)
-    print(
+    summary = (
         f"Q_inferred={witness.q_inferred} q_negative={witness.q_negative} "
         f"p_negativity_witnessed={witness.p_negativity_witnessed} -> {out}"
     )
-    if args.strict and witness.notes:
-        return 1
-    return 0
+    return finish(args, summary, witness.notes)
 
 
 def cmd_pipeline(args) -> int:
@@ -244,12 +252,7 @@ def cmd_pipeline(args) -> int:
         )
     if witness is not None:
         write_csv(out / "b_values.csv", B_HEADER, float_rows(witness["b_values"]), config.seed)
-    for line in report["warnings"]:
-        print(f"warning: {line}", file=sys.stderr)
-    print(f"pipeline report -> {out / 'report.json'}")
-    if args.strict and report["warnings"]:
-        return 1
-    return 0
+    return finish(args, f"pipeline report -> {out / 'report.json'}", report["warnings"])
 
 
 # ---------------------------------------------------------------- parser

@@ -21,11 +21,8 @@ class InsufficientDataError(ValueError):
 
 
 class ConditioningError(RuntimeError):
-    """A linear solve was refused because the system is too ill-conditioned."""
-
-
-class QuasiDistributionWarning(UserWarning):
-    """A vector meant as a probability distribution carries negative entries."""
+    """A linear solve was refused because the system is too ill-conditioned;
+    the message names the remedy."""
 
 
 def field_problems(doc, cls, pointer: str = "") -> list[str]:

@@ -15,7 +15,6 @@ distribution at the source:
 
 from __future__ import annotations
 
-import warnings
 from array import array
 from dataclasses import dataclass
 
@@ -24,13 +23,7 @@ import numpy as np
 from .calibration import CountHistogram
 from .detector import ClickDistribution, ConvolutionMatrix, _thinning_matrix
 from .distributions import DEFAULT_N_MAX, probability_vector
-from .errors import (
-    ConditioningError,
-    DomainError,
-    InsufficientDataError,
-    QuasiDistributionWarning,
-    ShapeError,
-)
+from .errors import ConditioningError, DomainError, InsufficientDataError, ShapeError
 
 CONDITION_LIMIT = 1e12
 NEGATIVITY_TOL = 1e-9
@@ -105,6 +98,16 @@ class InversionResult:
             "condition_number": self.condition_number,
         }
 
+    def warnings(self) -> list[str]:
+        """What this result warns of: an EM run cut at its sweep budget, or a
+        direct inversion that went negative."""
+        notes = []
+        if not self.converged:
+            notes.append("reconstruction stopped at the sweep budget")
+        if self.negativity_flag:
+            notes.append("direct inversion produced negative entries; model assumptions suspect")
+        return notes
+
 
 def loss_matrix_inverse(eta: float, n_max: int = DEFAULT_N_MAX) -> np.ndarray:
     """Analytic inverse of the binomial loss matrix.
@@ -150,7 +153,7 @@ def deconvolve_clicks(p_click, c: ConvolutionMatrix) -> np.ndarray:
 
     The result is the surviving-photon-number distribution and may carry
     small negative entries when the input is noisy; it is returned
-    unclipped, with a QuasiDistributionWarning.
+    unclipped, and the caller decides what a dip means.
     """
     n_rows = c.matrix.shape[0]
     freq = _click_frequencies(p_click, n_rows)
@@ -163,17 +166,9 @@ def deconvolve_clicks(p_click, c: ConvolutionMatrix) -> np.ndarray:
     if cond > CONDITION_LIMIT:
         raise ConditioningError(
             f"bin-convolution block has condition number {cond:.3e} > "
-            f"{CONDITION_LIMIT:.0e}"
+            f"{CONDITION_LIMIT:.0e}; coarser binning avoids the solve"
         )
-    survivors = np.linalg.solve(block, freq)
-    if float(survivors.min()) < -1e-12:
-        warnings.warn(
-            f"deconvolved statistics dip to {survivors.min():.3e}; treating as "
-            "a quasi-distribution",
-            QuasiDistributionWarning,
-            stacklevel=2,
-        )
-    return survivors
+    return np.linalg.solve(block, freq)
 
 
 def direct_invert(
@@ -201,7 +196,8 @@ def direct_invert(
     cond = float(np.linalg.cond(composite))
     if cond > CONDITION_LIMIT and not allow_ill_conditioned:
         raise ConditioningError(
-            f"composite response has condition number {cond:.3e} > {CONDITION_LIMIT:.0e}"
+            f"composite response has condition number {cond:.3e} > {CONDITION_LIMIT:.0e}; "
+            "coarser binning or the EM method avoid the solve"
         )
     rho = linv @ np.linalg.solve(block, freq)
     min_entry = float(rho.min())

@@ -170,20 +170,24 @@ def _word_blocks(rng, size: int):
 
 
 def _pair_numbers(rng, q: float, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Indices of the pulses that carry pairs, and their pair numbers.
-
-    Consumes the same words and gives the same values as
-    rng.geometric(1 - q, size) - 1.  numpy's search draws one uniform u per
-    pulse and returns 1 plus the number of its partial sums below u.  So a
-    pulse is empty exactly when w >> 11 <= floor(p * 2**53), an integer test
-    on the raw word, and only the busy pulses need the search.  Where numpy's
-    loop would never end (u above the limit its sums round to) the pulse
-    gets the sums' count.
-    """
+    """Indices of the pulses that carry pairs, and their pair numbers:
+    _geometric_excess at p = 1 - q, except that gain 0 draws nothing."""
     if q == 0.0:
         none = np.zeros(0, dtype=np.int64)
         return none, none
-    p = 1.0 - q
+    return _geometric_excess(rng, 1.0 - q, size)
+
+
+def _geometric_excess(rng, p: float, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Indices of the nonzero values of rng.geometric(p, size) - 1, and those values.
+
+    Consumes the same words and gives the same values as numpy.  numpy's
+    search draws one uniform u per draw and returns 1 plus the number of its
+    partial sums below u.  So a value is 0 exactly when
+    w >> 11 <= floor(p * 2**53), an integer test on the raw word, and only
+    the other draws need the search.  Where numpy's loop would never end
+    (u above the limit its sums round to) the draw gets the sums' count.
+    """
     if p < GEOMETRIC_SEARCH_MIN_P:
         # numpy inverts a ziggurat exponential here; its word use cannot be replayed
         n = rng.geometric(p, size)
@@ -290,7 +294,9 @@ def _run_chunk(config: ExperimentConfig, chunk_index: int, size: int) -> tuple[n
         if config.contaminant.kind == "coherent":
             photons = photons + rng.poisson(mean, photons.size)
         else:
-            photons = photons + rng.geometric(1.0 / (1.0 + mean), photons.size) - 1
+            busy, thermal = _geometric_excess(rng, 1.0 / (1.0 + mean), photons.size)
+            photons = photons.copy()
+            photons[busy] += thermal
     clicks = _signal_clicks(
         rng, photons, config.eta_signal * config.extra_transmission, config.bins
     )

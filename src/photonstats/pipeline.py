@@ -6,14 +6,14 @@ being inverted, never supplied from outside.  Each stage's numbers land
 in one report dictionary; every entry is traceable to a module output.
 
 Stage warnings (inconsistent estimators, negativity, empty heralds,
-non-convergence, an ill-conditioned deconvolution or direct solve) are
-collected as strings rather than raised, so a run always produces a
-complete report; the CLI decides how strictly to treat them.
+non-convergence, an ill-conditioned deconvolution or direct solve, witness
+notes) are returned as strings rather than raised, so a run always
+produces a complete report.  Every CLI command prints each one on stderr
+as "warning: <text>" and exits 1 exactly when --strict is set and at least
+one was recorded.
 """
 
 from __future__ import annotations
-
-import warnings
 
 import numpy as np
 
@@ -54,15 +54,18 @@ def calibrate_histogram(
     conditional_order is the nominal heralded photon number: 1 selects the
     single-trigger estimator, 2 the three double-trigger estimators; any
     other order falls back to the Klyshko ratio alone.  Click statistics
-    are deconvolved to survivor statistics before the order estimators.
+    are deconvolved to survivor statistics before the order estimators;
+    survivors that dip below roundoff are noted and used as they are.
     """
     notes: list[str] = []
     p_click = hist.to_click_distribution()
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        survivors = deconvolve_clicks(p_click.probs, convolution_matrix(bins, n_max=len(bins)))
-    for w in caught:
-        notes.append(f"deconvolution: {w.message}")
+    survivors = deconvolve_clicks(p_click.probs, convolution_matrix(bins, n_max=len(bins)))
+    dip = float(survivors.min())
+    if dip < -1e-12:
+        notes.append(
+            f"deconvolution: deconvolved statistics dip to {dip:.3e}; "
+            "treating as a quasi-distribution"
+        )
     total = hist.total
     # the Klyshko ratio is 1 - p(0 clicks | trigger): a cross-check, not a
     # member of the order family, so it stays out of the consistency verdict
@@ -201,9 +204,7 @@ def run_pipeline(
     try:
         efficiency, notes = calibrate_histogram(hist, config.bins, target, sigma_threshold)
     except ConditioningError as err:
-        report["warnings"].append(
-            f"calibration refused ({err}); coarser binning avoids the solve"
-        )
+        report["warnings"].append(f"calibration refused ({err})")
         return report
     report["efficiency"] = efficiency
     report["warnings"].extend(notes)
@@ -213,9 +214,7 @@ def run_pipeline(
     try:
         inv = invert_histogram(hist, eta, config.bins, method, em_options)
     except ConditioningError as err:
-        report["warnings"].append(
-            f"reconstruction refused ({err}); the EM method avoids the solve"
-        )
+        report["warnings"].append(f"reconstruction refused ({err})")
         return report
     target_dist = fock(target, n_max=inv.rho.size - 1) if target < inv.rho.size else None
     inv_section = inv.to_dict()
@@ -224,13 +223,10 @@ def run_pipeline(
         None if target_dist is None else fidelity(inv.rho, target_dist.probs)
     )
     report["inversion"] = inv_section
-    if not inv.converged:
-        report["warnings"].append("reconstruction stopped at the sweep budget")
-    if inv.negativity_flag:
-        report["warnings"].append(
-            "direct inversion produced negative entries; model assumptions suspect"
-        )
-    report["nonclassicality"] = analyze_rho(inv.rho, hist).to_dict() | {
+    report["warnings"].extend(inv.warnings())
+    witness = analyze_rho(inv.rho, hist)
+    report["warnings"].extend(witness.notes)
+    report["nonclassicality"] = witness.to_dict() | {
         "tol_basis": "3 sigma, delta method on the herald count",
         "detected_mean": float(hist.to_click_distribution().mean()),
     }

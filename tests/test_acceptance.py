@@ -13,7 +13,6 @@ import itertools
 import json
 import math
 import time
-import warnings
 
 import numpy as np
 import pytest
@@ -34,7 +33,6 @@ from photonstats.detector import (
 )
 from photonstats.distributions import coherent, fock, mix, tms_marginal
 from photonstats.heralding import HeraldConfig, TriggerKind, herald
-from photonstats.errors import QuasiDistributionWarning
 from photonstats.inversion import (
     EmOptions,
     deconvolve_clicks,
@@ -231,9 +229,7 @@ def test_a5_filter_cross_check(verdict):
         )
         output = run(config, threads=THREADS)
         hist = output.histograms[config.herald.trigger_label]
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", QuasiDistributionWarning)
-            survivors = deconvolve_clicks(hist.to_click_distribution(), c8)
+        survivors = deconvolve_clicks(hist.to_click_distribution(), c8)
         return single_trigger_efficiency(survivors, hist.total)
 
     bare = calibrated(1.0, seed=6)

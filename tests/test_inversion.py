@@ -22,12 +22,7 @@ from photonstats.artifacts import RHO_HEADER, float_rows, read_rho, write_csv
 from photonstats.calibration import CountHistogram
 from photonstats.detector import ClickDistribution
 from photonstats.distributions import PhotonDistribution
-from photonstats.errors import (
-    ConditioningError,
-    DomainError,
-    QuasiDistributionWarning,
-    ShapeError,
-)
+from photonstats.errors import ConditioningError, DomainError, ShapeError
 from photonstats.inversion import (
     EmOptions,
     deconvolve_clicks,
@@ -43,6 +38,7 @@ from photonstats.nonclassicality import (
     mandel_q,
     mandel_q_std_err,
 )
+from photonstats.pipeline import calibrate_histogram
 
 
 def fsum_matmul(a, b):
@@ -129,9 +125,15 @@ def test_deconvolve_warns_on_quasi_output():
     clicks = np.array([0.5, 0.4, 0.06, 0.04, 0.0])
     clicks[2] -= 0.03  # starve two-click events below what one photon allows
     clicks[1] += 0.03
-    with pytest.warns(QuasiDistributionWarning):
-        result = deconvolve_clicks(clicks, c)
+    result = deconvolve_clicks(clicks, c)
     assert result.min() < -1e-6
+    hist = CountHistogram(np.round(clicks * 100).astype(np.int64), trigger_label="t1")
+    _, notes = calibrate_histogram(hist, uniform_bins(4), 1)
+    note = (
+        f"deconvolution: deconvolved statistics dip to {result.min():.3e}; "
+        "treating as a quasi-distribution"
+    )
+    assert note in notes
 
 
 def test_direct_invert_single_photon_frozen():

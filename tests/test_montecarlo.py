@@ -382,6 +382,17 @@ def test_pair_sampler_draws_nothing_at_zero_gain():
     assert ours.random() == ref.random()
 
 
+@pytest.mark.parametrize("mean", [0.3, 0.7, 2.0])  # 2.0: p = 1/3, numpy's branch point
+def test_thermal_sampler_replays_numpy_geometric(mean):
+    size = 3 * montecarlo.WORD_BLOCK + 1000  # ends in a partial block
+    ours, ref = _philox(17), _philox(17)
+    busy, extra = montecarlo._geometric_excess(ours, 1 / (1 + mean), size)
+    expected = ref.geometric(1 / (1 + mean), size) - 1
+    assert np.array_equal(busy, np.flatnonzero(expected))
+    assert np.array_equal(extra, expected[busy])
+    assert ours.random() == ref.random()
+
+
 def test_search_sums_stop_where_they_stop_growing():
     # at this p numpy's partial sums round to a limit below 1 - 2^-53
     sums = montecarlo._search_sums(0.5131911425092469, 1.0 - 2.0**-53)

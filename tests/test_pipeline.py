@@ -2,16 +2,26 @@
 
 import json
 import re
+import threading
 
 import numpy as np
 import pytest
 
-from photonstats import cli
-from photonstats.artifacts import read_histogram, read_rho
+from photonstats import cli, pipeline
+from photonstats.artifacts import (
+    HISTOGRAM_HEADER,
+    RHO_HEADER,
+    count_rows,
+    float_rows,
+    read_histogram,
+    read_rho,
+    write_csv,
+)
 from photonstats.calibration import CountHistogram
 from photonstats.heralding import HeraldConfig, TriggerKind
 from photonstats.montecarlo import Contaminant, ExperimentConfig
-from photonstats.pipeline import run_pipeline, witness_tolerance
+from photonstats.detector import uniform_bins
+from photonstats.pipeline import calibrate_histogram, run_pipeline, witness_tolerance
 
 SINGLE = HeraldConfig(kind=TriggerKind.SINGLE_APD, eta_trigger=0.25)
 DOUBLE = HeraldConfig(
@@ -36,6 +46,20 @@ def config_file(tmp_path, name="config.json", **overrides):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
     return path
+
+
+def histogram_file(tmp_path, counts, name="histogram.csv"):
+    path = tmp_path / name
+    write_csv(path, HISTOGRAM_HEADER, count_rows(np.array(counts, dtype=np.int64)), None)
+    return path
+
+
+# these counts deconvolve, on 8 equal bins, to survivors that dip to -5.714e-03
+DIPPING = [600, 390, 0, 10, 0, 0, 0, 0, 0]
+
+
+def dip_note(dip: str) -> str:
+    return f"deconvolution: deconvolved statistics dip to {dip}; treating as a quasi-distribution"
 
 
 def strip_timestamps(text: str) -> str:
@@ -432,3 +456,144 @@ def test_histogram_csv_comment_lines_round_trip(tmp_path):
     path.write_text("# provenance comment\nclicks,count\n0,5\n1,3\n2,1\n")
     loaded = read_histogram(path)
     assert np.array_equal(loaded.counts, hist.counts)
+
+
+# ------------------------------------------------------------ one warnings channel
+
+
+def test_calibrations_in_threads_keep_their_own_notes(monkeypatch, capfd):
+    # forced crossing order: A enters, B enters, A deconvolves and returns,
+    # then B deconvolves
+    real = pipeline.deconvolve_clicks
+    a_in, b_in, a_done = threading.Event(), threading.Event(), threading.Event()
+
+    def gated(*args):
+        if threading.current_thread().name == "A":
+            a_in.set()
+            assert b_in.wait(10)
+        else:
+            b_in.set()
+            assert a_done.wait(10)
+        return real(*args)
+
+    monkeypatch.setattr(pipeline, "deconvolve_clicks", gated)
+    hists = {
+        "A": CountHistogram(np.array(DIPPING), trigger_label="t1"),
+        "B": CountHistogram(np.array([600, 380, 0, 20, 0, 0, 0, 0, 0]), trigger_label="t1"),
+    }
+    notes, errors = {}, []
+
+    def calibrate(name):
+        try:
+            notes[name] = calibrate_histogram(hists[name], uniform_bins(8), 1)[1]
+        except Exception as err:  # reported by the assertion below
+            errors.append(err)
+        finally:
+            if name == "A":
+                a_done.set()
+
+    a = threading.Thread(target=calibrate, args=("A",), name="A")
+    b = threading.Thread(target=calibrate, args=("B",), name="B")
+    a.start()
+    assert a_in.wait(10)
+    b.start()
+    a.join(10)
+    b.join(10)
+    assert not a.is_alive() and not b.is_alive()
+    assert errors == []
+    assert notes == {"A": [dip_note("-5.714e-03")], "B": [dip_note("-1.143e-02")]}
+    assert capfd.readouterr().err == ""
+
+
+def test_cli_calibrate_strict_escalates_a_dip(tmp_path, capsys):
+    hist = histogram_file(tmp_path, DIPPING)
+    argv = ["calibrate", "--histogram", str(hist), "--out-dir", str(tmp_path)]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().err == f"warning: {dip_note('-5.714e-03')}\n"
+    assert cli.main(argv + ["--strict"]) == 1
+    assert capsys.readouterr().err == f"warning: {dip_note('-5.714e-03')}\n"
+    blob = json.loads((tmp_path / "calibration.json").read_text())
+    assert blob["warnings"] == [dip_note("-5.714e-03")]
+
+
+@pytest.mark.parametrize("label", ["2", "t", "T2", "t-1", "t+1", "t2.0", "t02", "t 2", "x1", ""])
+def test_cli_calibrate_rejects_a_malformed_trigger(tmp_path, capsys, label):
+    hist = histogram_file(tmp_path, DIPPING)
+    code = cli.main(
+        ["calibrate", "--histogram", str(hist), "--trigger", label, "--out-dir", str(tmp_path)]
+    )
+    err = capsys.readouterr().err.strip().splitlines()
+    assert code == 2
+    assert len(err) == 1 and err[0].startswith("photonstats: error:")
+    assert not (tmp_path / "calibration.json").exists()
+
+
+def test_cli_calibrate_falls_back_to_klyshko_above_order_two(tmp_path, capsys):
+    cfg = config_file(tmp_path)
+    out = tmp_path / "out"
+    cli.main(["simulate", "--config", str(cfg), "--out-dir", str(out)])
+    argv = ["calibrate", "--histogram", str(out / "histogram_t1.csv"), "--trigger", "t3",
+            "--out-dir", str(out)]
+    capsys.readouterr()
+    assert cli.main(argv) == 0
+    note = "no order-3 estimator; falling back to the Klyshko ratio"
+    assert f"warning: {note}" in capsys.readouterr().err.splitlines()
+    blob = json.loads((out / "calibration.json").read_text())
+    assert blob["efficiency"]["eta_source"] == "klyshko"
+    assert [e["order"] for e in blob["efficiency"]["estimates"]] == ["klyshko"]
+    assert blob["efficiency"]["trigger_label"] == "t3"
+    assert note in blob["warnings"]
+    assert cli.main(argv + ["--strict"]) == 1
+
+
+def test_pipeline_stops_when_eta_is_undefined(tmp_path):
+    # no pairs: every herald is a dark click, so no signal photon survives
+    dark_only = dict(
+        parametric_gain=0.0,
+        herald=HeraldConfig(kind=TriggerKind.SINGLE_APD, eta_trigger=0.25, dark_click_prob=0.01),
+        bins=[0.5, 0.5],
+        pulses=20_000,
+        seed=1,
+    )
+    report = run_pipeline(single_config(**dark_only))
+    assert report["herald_count"] > 0
+    assert report["efficiency"]["eta_for_inversion"] is None
+    assert report["inversion"] is None and report["nonclassicality"] is None
+    assert "calibrated efficiency undefined; reconstruction cannot proceed" in report["warnings"]
+    argv = ["pipeline", "--config", str(config_file(tmp_path, **dark_only)),
+            "--out-dir", str(tmp_path)]
+    assert cli.main(argv) == 0
+    assert cli.main(argv + ["--strict"]) == 1
+
+
+def test_cli_pipeline_warns_at_the_sweep_budget(tmp_path, capsys):
+    cfg = config_file(tmp_path, pulses=50_000)
+    argv = ["pipeline", "--config", str(cfg), "--max-iter", "1", "--out-dir", str(tmp_path)]
+    assert cli.main(argv) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert "warning: reconstruction stopped at the sweep budget" in err
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["inversion"]["converged"] is False
+    assert "reconstruction stopped at the sweep budget" in report["warnings"]
+    assert cli.main(argv + ["--strict"]) == 1
+
+
+def test_cli_invert_strict_escalates_the_sweep_budget(tmp_path, capsys):
+    hist = histogram_file(tmp_path, DIPPING)
+    argv = ["invert", "--histogram", str(hist), "--eta", "0.39", "--max-iter", "1",
+            "--out-dir", str(tmp_path)]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().err == "warning: reconstruction stopped at the sweep budget\n"
+    assert cli.main(argv + ["--strict"]) == 1
+
+
+def test_cli_analyze_strict_escalates_a_vacuum_note(tmp_path, capsys):
+    rho = tmp_path / "rho.csv"
+    write_csv(rho, RHO_HEADER, float_rows([1.0, 0.0, 0.0]), None)
+    argv = ["analyze", "--rho", str(rho), "--out-dir", str(tmp_path)]
+    assert cli.main(argv) == 0
+    note = "inferred statistics are vacuum; Q undefined"
+    assert capsys.readouterr().err == f"warning: {note}\n"
+    assert cli.main(argv + ["--strict"]) == 1
+    blob = json.loads((tmp_path / "nonclassicality.json").read_text())
+    assert blob["nonclassicality"]["notes"] == [note]
