@@ -56,7 +56,6 @@ from .inversion import (
     direct_invert,
     em_invert,
     fidelity,
-    loss_matrix_inverse,
 )
 from .pipeline import run_pipeline
 from .nonclassicality import (
@@ -115,7 +114,6 @@ __all__ = [
     "direct_invert",
     "em_invert",
     "fidelity",
-    "loss_matrix_inverse",
     "run_pipeline",
     "NonclassicalityReport",
     "b_criterion",

@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Commands
-    simulate    run the seeded simulator, write click histograms
+    simulate    run the seeded simulator, write its click histogram
     calibrate   efficiency estimates from a histogram CSV
     invert      reconstruct photon-number statistics from a histogram
     analyze     nonclassicality witnesses on reconstructed statistics
@@ -132,25 +132,25 @@ def cmd_simulate(args) -> int:
     config = load_config(args.config, args.seed)
     out = resolve_out_dir(args)
     output = run(config, threads=args.threads)
-    for label in sorted(output.histograms):
-        hist = output.histograms[label]
-        csv_path = out / f"histogram_{label}.csv"
-        write_csv(csv_path, HISTOGRAM_HEADER, count_rows(hist.counts), config.seed)
-        write_json(
-            out / f"histogram_{label}.json",
-            {"provenance": provenance_block(config.seed), "histogram": histogram_dict(hist)},
-        )
+    hist = output.histogram
+    label = hist.trigger_label
+    csv_rows = count_rows(hist.counts)
+    write_csv(out / f"histogram_{label}.csv", HISTOGRAM_HEADER, csv_rows, config.seed)
+    write_json(
+        out / f"histogram_{label}.json",
+        {"provenance": provenance_block(config.seed), "histogram": histogram_dict(hist)},
+    )
     write_json(
         out / "simulation.json",
         {
             "provenance": provenance_block(config.seed),
             "config": config.to_dict(),
             "herald_count": output.herald_count,
-            "pulses_run": output.pulses_run,
+            "pulses_run": config.pulses,
         },
     )
-    summary = f"simulated {output.pulses_run} pulses, {output.herald_count} heralds -> {out}"
-    return finish(args, summary, [])
+    summary = f"simulated {config.pulses} pulses, {output.herald_count} heralds -> {out}"
+    return finish(args, summary, [] if output.herald_count else ["no heralds recorded"])
 
 
 def cmd_calibrate(args) -> int:

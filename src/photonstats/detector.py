@@ -43,8 +43,7 @@ def _comb_table(n_max: int) -> np.ndarray:
 def _thinning_matrix(eta: float, n_max: int) -> np.ndarray:
     """Binomial thinning matrix entry(m, n) = C(n, m) eta^m (1-eta)^(n-m).
 
-    No range check on eta: the same algebra evaluated at 1/eta yields the
-    analytic inverse of the physical loss map.
+    No range check on eta: callers validate it.
     """
     comb = _comb_table(n_max)
     m_idx = np.arange(n_max + 1)

@@ -7,10 +7,11 @@ distribution at the source:
   M = C @ L(eta).  Keeps the iterate a proper probability distribution,
   never goes negative, and its log-likelihood is nondecreasing, so it is
   the reconstruction of record.
-* direct_invert: explicit linear inversion rho = inv(L) @ inv(C) @ p on
-  the truncated square block.  Fast and exact on noise-free data but
-  amplifies noise without constraint; negative entries in its output are
-  a useful diagnostic that the data violate the assumed model.
+* direct_invert: one linear solve of the same composite C @ L(eta) on the
+  truncated square block, refused only when its condition number is too
+  large.  Fast and exact on noise-free data but amplifies noise without
+  constraint; negative entries in its output are a useful diagnostic that
+  the data violate the assumed model.
 """
 
 from __future__ import annotations
@@ -27,9 +28,6 @@ from .errors import ConditioningError, DomainError, InsufficientDataError, Shape
 
 CONDITION_LIMIT = 1e12
 NEGATIVITY_TOL = 1e-9
-# inv(L) entries grow like (1/eta)^n; beyond this corner they overflow
-OVERFLOW_ETA = 0.05
-OVERFLOW_N_MAX = 20
 
 
 @dataclass(frozen=True)
@@ -109,22 +107,6 @@ class InversionResult:
         return notes
 
 
-def loss_matrix_inverse(eta: float, n_max: int = DEFAULT_N_MAX) -> np.ndarray:
-    """Analytic inverse of the binomial loss matrix.
-
-    Thinning matrices form a semigroup L(a) L(b) = L(ab), so the inverse of
-    L(eta) is the same binomial algebra evaluated at 1/eta.
-    """
-    if not 0.0 < eta <= 1.0:
-        raise DomainError(f"efficiency must lie in (0, 1], got {eta}")
-    if eta < OVERFLOW_ETA and n_max > OVERFLOW_N_MAX:
-        raise DomainError(
-            f"inverse loss matrix at eta={eta} with n_max={n_max} would overflow; "
-            f"need eta >= {OVERFLOW_ETA} or n_max <= {OVERFLOW_N_MAX}"
-        )
-    return _thinning_matrix(1.0 / eta, n_max)
-
-
 def _click_frequencies(data, n_rows: int) -> np.ndarray:
     """Normalize histogram / distribution / vector input to frequencies."""
     if isinstance(data, CountHistogram):
@@ -177,7 +159,8 @@ def direct_invert(
     c: ConvolutionMatrix,
     allow_ill_conditioned: bool = False,
 ) -> InversionResult:
-    """Explicit linear inversion rho = inv(L(eta)) inv(C) p_click.
+    """Explicit linear inversion: solve C L(eta) rho = p_click on the square
+    block where clicks and photon numbers both run 0 .. n_bins.
 
     Exact on noise-free data from a source confined below the click
     resolution; on real data the unconstrained solve amplifies sampling
@@ -191,7 +174,8 @@ def direct_invert(
     dim = n_rows - 1
     block = c.matrix[:, :n_rows]
     freq = _click_frequencies(p_click, n_rows)
-    linv = loss_matrix_inverse(eta, dim)
+    if not 0.0 < eta <= 1.0:
+        raise DomainError(f"efficiency must lie in (0, 1], got {eta}")
     composite = block @ _thinning_matrix(eta, dim)
     cond = float(np.linalg.cond(composite))
     if cond > CONDITION_LIMIT and not allow_ill_conditioned:
@@ -199,7 +183,7 @@ def direct_invert(
             f"composite response has condition number {cond:.3e} > {CONDITION_LIMIT:.0e}; "
             "coarser binning or the EM method avoid the solve"
         )
-    rho = linv @ np.linalg.solve(block, freq)
+    rho = np.linalg.solve(composite, freq)
     min_entry = float(rho.min())
     return InversionResult(
         rho=rho,

@@ -130,14 +130,13 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class SimulationOutput:
-    """Histograms and bookkeeping from one simulated run."""
+    """The heralded click histogram of one simulated run."""
 
-    histograms: dict[str, CountHistogram]
-    herald_count: int
-    pulses_run: int
-    seed: int
-    config_echo: ExperimentConfig
-    generator: str = GENERATOR
+    histogram: CountHistogram
+
+    @property
+    def herald_count(self) -> int:
+        return self.histogram.total
 
 
 # numpy's Generator.geometric(p) searches its partial sums at p >= this
@@ -282,13 +281,13 @@ def _signal_clicks(rng, photons: np.ndarray, transmission: float, bins: np.ndarr
     return occupied.sum(axis=1)
 
 
-def _run_chunk(config: ExperimentConfig, chunk_index: int, size: int) -> tuple[np.ndarray, int]:
+def _run_chunk(config: ExperimentConfig, chunk_index: int, size: int) -> np.ndarray:
     rng = np.random.Generator(np.random.Philox(key=config.seed).jumped(chunk_index))
     busy, pairs = _pair_numbers(rng, config.parametric_gain**2, size)
     photons = _heralded(rng, size, busy, pairs, config.herald)
     n_bins = config.bins.size
     if photons.size == 0:
-        return np.zeros(n_bins + 1, dtype=np.int64), 0
+        return np.zeros(n_bins + 1, dtype=np.int64)
     if config.contaminant is not None and config.contaminant.mean > 0:
         mean = config.contaminant.mean
         if config.contaminant.kind == "coherent":
@@ -300,7 +299,7 @@ def _run_chunk(config: ExperimentConfig, chunk_index: int, size: int) -> tuple[n
     clicks = _signal_clicks(
         rng, photons, config.eta_signal * config.extra_transmission, config.bins
     )
-    return np.bincount(clicks, minlength=n_bins + 1), int(photons.size)
+    return np.bincount(clicks, minlength=n_bins + 1)
 
 
 def run(config: ExperimentConfig, threads: int = 1) -> SimulationOutput:
@@ -320,14 +319,6 @@ def run(config: ExperimentConfig, threads: int = 1) -> SimulationOutput:
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             parts = list(pool.map(_run_chunk, [config] * n_chunks, range(n_chunks), sizes))
-    counts = np.sum([c for c, _ in parts], axis=0, dtype=np.int64)
-    herald_count = sum(h for _, h in parts)
-    label = config.herald.trigger_label
-    return SimulationOutput(
-        histograms={label: CountHistogram(counts, trigger_label=label)},
-        herald_count=herald_count,
-        pulses_run=config.pulses,
-        seed=config.seed,
-        config_echo=config,
-    )
+    counts = np.sum(parts, axis=0, dtype=np.int64)
+    return SimulationOutput(CountHistogram(counts, trigger_label=config.herald.trigger_label))
 

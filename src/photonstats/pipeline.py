@@ -181,15 +181,14 @@ def run_pipeline(
     """
     check_sigma_threshold(sigma_threshold)
     output = run(config, threads=threads)
-    label = config.herald.trigger_label
-    hist = output.histograms[label]
+    hist = output.histogram
     report: dict = {
         "schema_version": SCHEMA_VERSION,
         "provenance": provenance_block(config.seed),
         "config": config.to_dict(),
         "herald_count": output.herald_count,
         "histogram": {
-            "trigger_label": label,
+            "trigger_label": hist.trigger_label,
             "counts": [int(c) for c in hist.counts],
         },
         "warnings": [],

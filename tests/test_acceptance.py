@@ -228,7 +228,7 @@ def test_a5_filter_cross_check(verdict):
             seed=seed,
         )
         output = run(config, threads=THREADS)
-        hist = output.histograms[config.herald.trigger_label]
+        hist = output.histogram
         survivors = deconvolve_clicks(hist.to_click_distribution(), c8)
         return single_trigger_efficiency(survivors, hist.total)
 
@@ -324,7 +324,7 @@ def test_a8_invalid_prior_detection(verdict):
         seed=3,
     )
     output = run(config, threads=THREADS)
-    hist = output.histograms[config.herald.trigger_label]
+    hist = output.histogram
     bins = uniform_bins(8)
     section, _ = calibrate_histogram(hist, bins, conditional_order=2)
     # self-calibrated eta is tiny, so the inversion must be forced past the

@@ -103,6 +103,9 @@ NO_HERALD_CONFIG = CONFIG.replace('"parametric_gain": 0.3', '"parametric_gain": 
         (["pipeline", "--sigma-threshold", "nan", "--config"], CONFIG),
         (["pipeline", "--sigma-threshold", "-1", "--config"], CONFIG),
         (["pipeline", "--sigma-threshold", "nan", "--config"], NO_HERALD_CONFIG),
+        (["invert", "--method", "direct", "--eta", "0", "--histogram"], HISTOGRAM),
+        (["invert", "--method", "direct", "--eta", "1.5", "--histogram"], HISTOGRAM),
+        (["invert", "--method", "direct", "--eta", "nan", "--histogram"], HISTOGRAM),
     ],
     ids=[
         "calibrate_count_overflow",
@@ -117,6 +120,9 @@ NO_HERALD_CONFIG = CONFIG.replace('"parametric_gain": 0.3', '"parametric_gain": 
         "pipeline_sigma_threshold_nan",
         "pipeline_sigma_threshold_negative",
         "pipeline_sigma_threshold_nan_no_heralds",
+        "invert_direct_eta_zero",
+        "invert_direct_eta_above_one",
+        "invert_direct_eta_nan",
     ],
 )
 def test_cli_out_of_range_values_exit_2(tmp_path, capsys, argv, text):

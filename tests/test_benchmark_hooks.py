@@ -55,6 +55,25 @@ def test_cli_writes_through_traced_names(tracing, tmp_path):
     assert tracer.counts["cli.bytes_written"] > 0
 
 
+def test_traced_pipeline_reaches_every_rebound_name(tracing, tmp_path):
+    from photonstats import cli
+
+    config = tmp_path / "config.json"
+    config.write_text(
+        '{"parametric_gain": 0.3, "herald": {"kind": "single_apd", "eta_trigger": 0.25}, '
+        '"eta_signal": 0.373, "bins": [0.25, 0.25, 0.25, 0.25], "pulses": 20000, "seed": 11}'
+    )
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert cli.main(["pipeline", "--config", str(config), "--out-dir", str(tmp_path)]) == 0
+    finally:
+        tracer.uninstall()
+    rebound = {attr for _, attr, _, _ in tracing.BOUNDARIES}
+    # pipeline calls nonclassicality.report through its own witness_report name
+    assert rebound - {span.name for span in tracer.spans} == {"report"}
+
+
 def test_smoke_run_passes():
     result = subprocess.run(
         [sys.executable, str(PERFBENCH / "run.py"), "--smoke"],

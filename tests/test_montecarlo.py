@@ -22,6 +22,7 @@ from photonstats import (
     uniform_bins,
 )
 from photonstats import montecarlo
+from photonstats.artifacts import provenance_block
 from photonstats.errors import DomainError
 from photonstats.montecarlo import Contaminant, ExperimentConfig, run
 
@@ -39,7 +40,7 @@ def test_same_seed_is_bit_identical():
     )
     a, b = run(config), run(config)
     assert a.herald_count == b.herald_count
-    assert np.array_equal(a.histograms["t1"].counts, b.histograms["t1"].counts)
+    assert np.array_equal(a.histogram.counts, b.histogram.counts)
 
 
 def test_thread_count_does_not_change_output():
@@ -51,7 +52,7 @@ def test_thread_count_does_not_change_output():
     threaded = run(config, threads=4)
     assert serial.herald_count == threaded.herald_count
     assert np.array_equal(
-        serial.histograms["t1"].counts, threaded.histograms["t1"].counts
+        serial.histogram.counts, threaded.histogram.counts
     )
 
 
@@ -59,8 +60,8 @@ def test_different_seeds_agree_statistically():
     config = ExperimentConfig(
         parametric_gain=0.3, herald=SINGLE, eta_signal=0.5, pulses=400_000, seed=10
     )
-    a = run(config).histograms["t1"].counts
-    b = run(replace(config, seed=11)).histograms["t1"].counts
+    a = run(config).histogram.counts
+    b = run(replace(config, seed=11)).histogram.counts
     keep = (a + b) > 0
     _, p, _, _ = stats.chi2_contingency(np.vstack([a[keep], b[keep]]))
     assert p > 0.001
@@ -87,7 +88,7 @@ def test_conditional_clicks_match_forward_model_single():
     analytic = heralded_click_distribution(0.1, SINGLE, 0.373, uniform_bins(8))
     total = out.herald_count
     assert total > 10_000
-    assert empirical_tv(out.histograms["t1"], analytic) < 5 * math.sqrt(9 / total)
+    assert empirical_tv(out.histogram, analytic) < 5 * math.sqrt(9 / total)
 
 
 def test_conditional_clicks_match_forward_model_double():
@@ -99,7 +100,7 @@ def test_conditional_clicks_match_forward_model_double():
     )
     out = run(config)
     analytic = heralded_click_distribution(0.35, herald_cfg, 0.45, uniform_bins(8))
-    assert empirical_tv(out.histograms["t2"], analytic) < 5 * math.sqrt(
+    assert empirical_tv(out.histogram, analytic) < 5 * math.sqrt(
         9 / out.herald_count
     )
 
@@ -121,7 +122,7 @@ def test_conditional_clicks_with_contaminant():
         mode="convolve",
     )
     analytic = forward_model(source, 0.5, uniform_bins(8))
-    assert empirical_tv(out.histograms["t1"], analytic) < 5 * math.sqrt(
+    assert empirical_tv(out.histogram, analytic) < 5 * math.sqrt(
         9 / out.herald_count
     )
 
@@ -140,10 +141,10 @@ def test_thermal_contaminant_through_dark_heralds():
     )
     out = run(config)
     # heralds are pure darks, so the signal is the contaminant alone
-    expected = out.config_echo.pulses * 0.02
+    expected = config.pulses * 0.02
     assert abs(out.herald_count - expected) < 4 * math.sqrt(expected)
     analytic = forward_model(thermal(0.5, n_max=40), 0.6, uniform_bins(8))
-    assert empirical_tv(out.histograms["t1"], analytic) < 5 * math.sqrt(
+    assert empirical_tv(out.histogram, analytic) < 5 * math.sqrt(
         9 / out.herald_count
     )
 
@@ -180,7 +181,7 @@ def test_bright_contaminant_memory_is_bounded(monkeypatch):
     monkeypatch.setattr(montecarlo, "_signal_clicks", _per_pulse_signal_clicks)
     reference = run(config)
     assert out.herald_count == reference.herald_count > 0
-    assert np.array_equal(out.histograms["t1"].counts, reference.histograms["t1"].counts)
+    assert np.array_equal(out.histogram.counts, reference.histogram.counts)
 
 def test_zero_gain_no_contaminant_clicks_stay_at_zero():
     herald_cfg = HeraldConfig(
@@ -190,7 +191,7 @@ def test_zero_gain_no_contaminant_clicks_stay_at_zero():
         parametric_gain=0.0, herald=herald_cfg, eta_signal=0.6, pulses=300_000, seed=2
     )
     out = run(config)
-    counts = out.histograms["t1"].counts
+    counts = out.histogram.counts
     assert counts[0] == out.herald_count
     assert counts[1:].sum() == 0
     assert out.herald_count > 0
@@ -207,7 +208,7 @@ def test_ideal_k_trigger_selects_exact_pair_number():
     sigma = math.sqrt(rate * (1 - rate) * config.pulses)
     assert abs(out.herald_count - rate * config.pulses) < 4 * sigma
     analytic = heralded_click_distribution(0.45, herald_cfg, 1.0, uniform_bins(8))
-    assert empirical_tv(out.histograms["t2"], analytic) < 5 * math.sqrt(
+    assert empirical_tv(out.histogram, analytic) < 5 * math.sqrt(
         9 / out.herald_count
     )
 
@@ -218,7 +219,7 @@ def test_histogram_totals_equal_herald_count():
             parametric_gain=0.3, herald=SINGLE, eta_signal=0.4, pulses=150_000, seed=seed
         )
         out = run(config)
-        assert sum(h.total for h in out.histograms.values()) == out.herald_count
+        assert int(out.histogram.counts.sum()) == out.herald_count
 
 
 def test_extra_transmission_scales_klyshko_ratio():
@@ -227,7 +228,7 @@ def test_extra_transmission_scales_klyshko_ratio():
     damped = run(ExperimentConfig(**base, extra_transmission=0.35, seed=32))
 
     def klyshko(out):
-        counts = out.histograms["t1"].counts
+        counts = out.histogram.counts
         return counts[1:].sum() / counts.sum()
 
     assert klyshko(damped) / klyshko(full) == pytest.approx(0.35, abs=0.02)
@@ -265,8 +266,8 @@ def test_config_round_trip_and_output_json():
     clone = ExperimentConfig.from_dict(config.to_dict())
     assert clone.to_dict() == config.to_dict()
     out = run(config)
-    assert out.generator == "philox4x64"
-    echo = json.loads(json.dumps(out.config_echo.to_dict()))
+    assert provenance_block(config.seed)["generator"] == "philox4x64"
+    echo = json.loads(json.dumps(config.to_dict()))
     assert ExperimentConfig.from_dict(echo).to_dict() == config.to_dict()
 
 
@@ -340,7 +341,7 @@ def test_stream_is_pinned(name, threads):
     config = ExperimentConfig(**fields)
     out = run(config, threads=threads)
     assert out.herald_count == herald_count
-    assert out.histograms[config.herald.trigger_label].counts.tolist() == counts
+    assert out.histogram.counts.tolist() == counts
 
 
 def _philox(key):

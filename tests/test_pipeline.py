@@ -312,6 +312,39 @@ def test_cli_pipeline_strict_escalates_empty_heralds(tmp_path):
     ) == 1
 
 
+def test_cli_simulate_strict_escalates_empty_heralds(tmp_path, capsys):
+    cfg = config_file(tmp_path, parametric_gain=0.0, pulses=1000, seed=3)
+    argv = ["simulate", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]
+    assert cli.main(argv) == 0
+    assert "warning: no heralds recorded" in capsys.readouterr().err
+    assert cli.main(argv + ["--strict"]) == 1
+
+
+def test_pipeline_direct_refusal_at_21_bins_and_low_eta(tmp_path):
+    # 21 equal bins at eta_s = 0.04: the composite response is far past the
+    # conditioning gate, so the run ends in a complete report
+    cfg = config_file(
+        tmp_path,
+        parametric_gain=0.14,
+        herald=HeraldConfig(kind=TriggerKind.SINGLE_APD, eta_trigger=0.9),
+        eta_signal=0.04,
+        bins=uniform_bins(21),
+        pulses=2_000_000,
+        seed=5,
+    )
+    out = tmp_path / "out"
+    argv = ["pipeline", "--config", str(cfg), "--method", "direct", "--out-dir", str(out)]
+    assert cli.main(argv) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["efficiency"]["eta_for_inversion"] is not None
+    assert report["inversion"] is None
+    refusal = re.compile(
+        r"reconstruction refused \(composite response has condition number \S+ > 1e\+12; "
+    )
+    assert any(refusal.match(w) for w in report["warnings"]), report["warnings"]
+    assert cli.main(argv + ["--strict"]) == 1
+
+
 def test_pipeline_direct_refusal_is_a_warning(tmp_path):
     # eta_s = 0.02 leaves the direct solve with condition number ~5e18
     low = dict(
