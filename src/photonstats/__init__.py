@@ -21,7 +21,6 @@ from .distributions import (
 from .detector import (
     ClickDistribution,
     ConvolutionMatrix,
-    LossMatrix,
     apply_loss,
     convolution_matrix,
     forward_model,
@@ -85,7 +84,6 @@ __all__ = [
     "tms_marginal",
     "ClickDistribution",
     "ConvolutionMatrix",
-    "LossMatrix",
     "apply_loss",
     "convolution_matrix",
     "forward_model",

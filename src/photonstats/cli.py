@@ -105,9 +105,8 @@ def overlay_rows(rho: np.ndarray, eta: float, bins: np.ndarray, clicks: np.ndarr
     mean = float(np.arange(rho.size) @ rho)
     # max_tail=1: the reference is a plot guide, folding is acceptable
     reference_source = coherent(mean, n_max=max(rho.size - 1, 2 * bins.size), max_tail=1.0)
-    chain = convolution_matrix(bins, n_max=reference_source.n_max).matrix @ (
-        loss_matrix(eta, reference_source.n_max).matrix
-    )
+    n_max = reference_source.n_max
+    chain = convolution_matrix(bins, n_max=n_max).matrix @ loss_matrix(eta, n_max)
     reference = chain @ reference_source.probs
     rows = []
     for k in range(bins.size + 1):
@@ -279,7 +278,10 @@ def build_parser() -> argparse.ArgumentParser:
     def em_knobs(p):
         defaults = EmOptions()
         p.add_argument("--method", choices=("em", "direct"), default="em")
-        p.add_argument("--n-max", type=int, default=defaults.n_max, help="reconstruction cutoff")
+        p.add_argument(
+            "--n-max", type=int, default=defaults.n_max,
+            help="EM reconstruction cutoff; the direct solve uses the bin count",
+        )
         p.add_argument("--tol", type=float, default=defaults.tol, help="EM stop tolerance")
         p.add_argument("--max-iter", type=int, default=defaults.max_iter)
 

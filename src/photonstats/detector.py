@@ -40,35 +40,6 @@ def _comb_table(n_max: int) -> np.ndarray:
     return table
 
 
-def _thinning_matrix(eta: float, n_max: int) -> np.ndarray:
-    """Binomial thinning matrix entry(m, n) = C(n, m) eta^m (1-eta)^(n-m).
-
-    No range check on eta: callers validate it.
-    """
-    comb = _comb_table(n_max)
-    m_idx = np.arange(n_max + 1)
-    out = np.zeros((n_max + 1, n_max + 1))
-    for n in range(n_max + 1):
-        m = m_idx[: n + 1]
-        out[: n + 1, n] = comb[n, : n + 1] * eta**m * (1.0 - eta) ** (n - m)
-    return out
-
-
-@dataclass(frozen=True)
-class LossMatrix:
-    """Column-stochastic binomial-thinning matrix for channel efficiency eta."""
-
-    matrix: np.ndarray
-    eta: float
-
-    def __post_init__(self):
-        self.matrix.setflags(write=False)
-
-    @property
-    def n_max(self) -> int:
-        return self.matrix.shape[1] - 1
-
-
 @dataclass(frozen=True)
 class ConvolutionMatrix:
     """Maps n surviving photons to the number k of occupied binary bins."""
@@ -130,18 +101,25 @@ def _validate_bin_probs(bin_probs) -> np.ndarray:
     return probs / probs.sum()
 
 
-def loss_matrix(eta: float, n_max: int = DEFAULT_N_MAX) -> LossMatrix:
-    """Binomial loss matrix for a channel that transmits each photon with
-    probability eta independently."""
+def loss_matrix(eta: float, n_max: int = DEFAULT_N_MAX) -> np.ndarray:
+    """Read-only binomial loss matrix L(eta) for a channel that transmits
+    each photon with probability eta independently:
+    entry(m, n) = C(n, m) eta^m (1-eta)^(n-m).  Column-stochastic."""
     if not 0.0 <= eta <= 1.0:
         raise DomainError(f"efficiency must lie in [0, 1], got {eta}")
-    return LossMatrix(_thinning_matrix(eta, n_max), eta)
+    comb = _comb_table(n_max)
+    m_idx = np.arange(n_max + 1)
+    out = np.zeros((n_max + 1, n_max + 1))
+    for n in range(n_max + 1):
+        m = m_idx[: n + 1]
+        out[: n + 1, n] = comb[n, : n + 1] * eta**m * (1.0 - eta) ** (n - m)
+    out.setflags(write=False)
+    return out
 
 
 def apply_loss(p: PhotonDistribution, eta: float) -> PhotonDistribution:
     """Push a photon-number distribution through a lossy channel."""
-    lm = loss_matrix(eta, p.n_max)
-    return from_probs(lm.matrix @ p.probs, p.tail_mass)
+    return from_probs(loss_matrix(eta, p.n_max) @ p.probs, p.tail_mass)
 
 
 def convolution_matrix(bin_probs, n_max: int = DEFAULT_N_MAX) -> ConvolutionMatrix:
@@ -174,6 +152,5 @@ def forward_model(p: PhotonDistribution, eta: float, bin_probs) -> ClickDistribu
     """Predict click statistics for a source distribution seen through loss
     eta and a bank of binary bins."""
     probs = _validate_bin_probs(bin_probs)
-    lm = loss_matrix(eta, p.n_max)
     cm = convolution_matrix(probs, p.n_max)
-    return ClickDistribution(cm.matrix @ (lm.matrix @ p.probs))
+    return ClickDistribution(cm.matrix @ (loss_matrix(eta, p.n_max) @ p.probs))

@@ -11,7 +11,8 @@ distribution at the source:
   truncated square block, refused only when its condition number is too
   large.  Fast and exact on noise-free data but amplifies noise without
   constraint; negative entries in its output are a useful diagnostic that
-  the data violate the assumed model.
+  the data violate the assumed model.  deconvolve_clicks is the same
+  solve at eta = 1, which calibration uses to strip C alone.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calibration import CountHistogram
-from .detector import ClickDistribution, ConvolutionMatrix, _thinning_matrix
+from .detector import ClickDistribution, ConvolutionMatrix, loss_matrix
 from .distributions import DEFAULT_N_MAX, probability_vector
 from .errors import ConditioningError, DomainError, InsufficientDataError, ShapeError
 
@@ -129,28 +130,44 @@ def _click_frequencies(data, n_rows: int) -> np.ndarray:
     return freq
 
 
-def deconvolve_clicks(p_click, c: ConvolutionMatrix) -> np.ndarray:
-    """Remove the bin-convolution: solve C s = p on the square block where
-    clicks and survivors both run 0 .. n_bins.
+def _response(c: ConvolutionMatrix, eta: float, n_max: int) -> np.ndarray:
+    """The detector law C @ L(eta) on photon numbers 0 .. n_max, the one
+    response every inversion solves."""
+    if not 0.0 < eta <= 1.0:
+        raise DomainError(f"efficiency must lie in (0, 1], got {eta}")
+    if c.n_max < n_max:
+        raise ShapeError(f"convolution matrix covers n <= {c.n_max}, need {n_max}")
+    return c.matrix[:, : n_max + 1] @ loss_matrix(eta, n_max)
 
-    The result is the surviving-photon-number distribution and may carry
-    small negative entries when the input is noisy; it is returned
-    unclipped, and the caller decides what a dip means.
+
+def _square_solve(p_click, eta, c, subject, remedy, allow_ill_conditioned=False):
+    """Solve C L(eta) x = p_click on the square block where clicks and photon
+    numbers both run 0 .. n_bins; return x and the block's condition number.
+
+    Raises ConditioningError, naming subject and remedy, when the condition
+    number exceeds CONDITION_LIMIT, unless allow_ill_conditioned is set.
     """
-    n_rows = c.matrix.shape[0]
-    freq = _click_frequencies(p_click, n_rows)
-    if c.n_max < c.n_bins:
-        raise ShapeError(
-            f"convolution matrix must cover photon numbers up to {c.n_bins}"
-        )
-    block = c.matrix[:, :n_rows]
-    cond = float(np.linalg.cond(block))
-    if cond > CONDITION_LIMIT:
+    freq = _click_frequencies(p_click, c.n_bins + 1)
+    response = _response(c, eta, c.n_bins)
+    cond = float(np.linalg.cond(response))
+    if cond > CONDITION_LIMIT and not allow_ill_conditioned:
         raise ConditioningError(
-            f"bin-convolution block has condition number {cond:.3e} > "
-            f"{CONDITION_LIMIT:.0e}; coarser binning avoids the solve"
+            f"{subject} has condition number {cond:.3e} > {CONDITION_LIMIT:.0e}; {remedy}"
         )
-    return np.linalg.solve(block, freq)
+    return np.linalg.solve(response, freq), cond
+
+
+def deconvolve_clicks(p_click, c: ConvolutionMatrix) -> np.ndarray:
+    """Remove the bin-convolution: the direct solve at eta = 1, where L is
+    the identity and C s = p is solved for the survivor distribution s.
+
+    The result may carry small negative entries when the input is noisy;
+    it is returned unclipped, and the caller decides what a dip means.
+    """
+    survivors, _ = _square_solve(
+        p_click, 1.0, c, "bin-convolution block", "coarser binning avoids the solve"
+    )
+    return survivors
 
 
 def direct_invert(
@@ -170,20 +187,14 @@ def direct_invert(
     condition number above CONDITION_LIMIT; allow_ill_conditioned=True
     solves anyway and records the condition number in the result.
     """
-    n_rows = c.matrix.shape[0]
-    dim = n_rows - 1
-    block = c.matrix[:, :n_rows]
-    freq = _click_frequencies(p_click, n_rows)
-    if not 0.0 < eta <= 1.0:
-        raise DomainError(f"efficiency must lie in (0, 1], got {eta}")
-    composite = block @ _thinning_matrix(eta, dim)
-    cond = float(np.linalg.cond(composite))
-    if cond > CONDITION_LIMIT and not allow_ill_conditioned:
-        raise ConditioningError(
-            f"composite response has condition number {cond:.3e} > {CONDITION_LIMIT:.0e}; "
-            "coarser binning or the EM method avoid the solve"
-        )
-    rho = np.linalg.solve(composite, freq)
+    rho, cond = _square_solve(
+        p_click,
+        eta,
+        c,
+        "composite response",
+        "coarser binning or the EM method avoid the solve",
+        allow_ill_conditioned,
+    )
     min_entry = float(rho.min())
     return InversionResult(
         rho=rho,
@@ -215,16 +226,10 @@ def em_invert(
         c: Bin-convolution matrix; must cover photon numbers to options.n_max.
         options: Convergence controls and photon-number cutoff.
     """
-    if not 0.0 < eta <= 1.0:
-        raise DomainError(f"efficiency must lie in (0, 1], got {eta}")
-    if c.n_max < options.n_max:
-        raise ShapeError(
-            f"convolution matrix covers n <= {c.n_max}, need {options.n_max}"
-        )
+    response = _response(c, eta, options.n_max)
     n_rows = c.matrix.shape[0]
     freq = _click_frequencies(data, n_rows)
     dim = options.n_max + 1
-    response = c.matrix[:, :dim] @ _thinning_matrix(eta, options.n_max)
     observed = freq > 0
     dead_rows = observed & (response.sum(axis=1) == 0)
     if np.any(dead_rows):

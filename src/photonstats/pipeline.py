@@ -6,11 +6,11 @@ being inverted, never supplied from outside.  Each stage's numbers land
 in one report dictionary; every entry is traceable to a module output.
 
 Stage warnings (inconsistent estimators, negativity, empty heralds,
-non-convergence, an ill-conditioned deconvolution or direct solve, witness
-notes) are returned as strings rather than raised, so a run always
-produces a complete report.  Every CLI command prints each one on stderr
-as "warning: <text>" and exits 1 exactly when --strict is set and at least
-one was recorded.
+non-convergence, an ill-conditioned deconvolution or direct solve, clicks
+beyond what the EM cutoff can produce, witness notes) are returned as
+strings rather than raised, so a run always produces a complete report.
+Every CLI command prints each one on stderr as "warning: <text>" and
+exits 1 exactly when --strict is set and at least one was recorded.
 """
 
 from __future__ import annotations
@@ -120,6 +120,11 @@ def calibrate_histogram(
     return section, notes
 
 
+def _check_method(method: str) -> None:
+    if method not in ("em", "direct"):
+        raise DomainError(f"unknown inversion method {method!r}; use 'em' or 'direct'")
+
+
 def invert_histogram(
     hist: CountHistogram,
     eta: float,
@@ -128,13 +133,12 @@ def invert_histogram(
     options: EmOptions = EmOptions(),
 ):
     """Reconstruct photon-number statistics from a click histogram."""
+    _check_method(method)
     if method == "em":
         c = convolution_matrix(bins, n_max=options.n_max)
         return em_invert(hist, eta, c, options)
-    if method == "direct":
-        c = convolution_matrix(bins, n_max=len(bins))
-        return direct_invert(hist.to_click_distribution(), eta, c)
-    raise DomainError(f"unknown inversion method {method!r}; use 'em' or 'direct'")
+    c = convolution_matrix(bins, n_max=len(bins))
+    return direct_invert(hist.to_click_distribution(), eta, c)
 
 
 def witness_tolerance(rho: np.ndarray, total: int) -> float:
@@ -180,6 +184,7 @@ def run_pipeline(
     runs differ only in the provenance timestamp.
     """
     check_sigma_threshold(sigma_threshold)
+    _check_method(method)
     output = run(config, threads=threads)
     hist = output.histogram
     report: dict = {
@@ -212,7 +217,7 @@ def run_pipeline(
         return report
     try:
         inv = invert_histogram(hist, eta, config.bins, method, em_options)
-    except ConditioningError as err:
+    except (ConditioningError, DomainError) as err:
         report["warnings"].append(f"reconstruction refused ({err})")
         return report
     target_dist = fock(target, n_max=inv.rho.size - 1) if target < inv.rho.size else None

@@ -131,8 +131,8 @@ def test_a1_matrix_oracles(verdict):
                 worst_conv = max(worst_conv, float(np.abs(got - reference).max()))
     worst_semi = 0.0
     for a, b in ((0.3, 0.7), (0.5, 0.5), (0.9, 0.2), (0.123, 0.456)):
-        product = loss_matrix(a, 20).matrix @ loss_matrix(b, 20).matrix
-        direct = loss_matrix(a * b, 20).matrix
+        product = loss_matrix(a, 20) @ loss_matrix(b, 20)
+        direct = loss_matrix(a * b, 20)
         worst_semi = max(worst_semi, float(np.abs(product - direct).max()))
     verdict(
         "A1 matrix-oracles",
@@ -390,7 +390,7 @@ def test_a10_em_properties(single_benchmark, double_benchmark, verdict):
     worst_tv = worst_residual = 0.0
     worst_gain = np.inf
     for eta in (0.55, 0.70, 0.90):
-        response = c8.matrix @ loss_matrix(eta, 8).matrix
+        response = c8.matrix @ loss_matrix(eta, 8)
         exact = response @ truth
         inv = em_invert(exact, eta, c8, EmOptions(tol=0.0, max_iter=50_000, n_max=8))
         worst_tv = max(worst_tv, 0.5 * float(np.abs(inv.rho - truth).sum()))

@@ -112,15 +112,15 @@ def test_uniform_bins_validation():
 
 def test_loss_semigroup():
     n_max = 20
-    first = loss_matrix(0.8, n_max).matrix
-    second = loss_matrix(0.5, n_max).matrix
-    combined = loss_matrix(0.4, n_max).matrix
+    first = loss_matrix(0.8, n_max)
+    second = loss_matrix(0.5, n_max)
+    combined = loss_matrix(0.4, n_max)
     assert np.allclose(second @ first, combined, atol=1e-12)
 
 
 def test_loss_columns_stochastic():
     lm = loss_matrix(0.373, 20)
-    assert np.allclose(lm.matrix.sum(axis=0), 1.0, atol=1e-12)
+    assert np.allclose(lm.sum(axis=0), 1.0, atol=1e-12)
 
 
 def test_loss_on_single_photon_is_bernoulli():
@@ -169,7 +169,7 @@ def test_compose_matches_forward_model():
     p = tms_marginal(0.35, n_max=12)
     cm = convolution_matrix(uniform_bins(8), n_max=12)
     lm = loss_matrix(0.6, n_max=12)
-    chain = cm.matrix @ lm.matrix
+    chain = cm.matrix @ lm
     direct = forward_model(p, 0.6, uniform_bins(8))
     assert np.allclose(chain @ p.probs, direct.probs, atol=1e-14)
     assert np.allclose(chain.sum(axis=0), 1.0, atol=1e-12)

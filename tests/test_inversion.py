@@ -57,7 +57,7 @@ def _rational_thinning(eta: Fraction, n_max: int):
 def test_loss_matrix_matches_exact_rationals(eta):
     n_max = 20
     exact = _rational_thinning(eta, n_max)
-    fl = loss_matrix(float(eta), n_max).matrix
+    fl = loss_matrix(float(eta), n_max)
     for i in range(n_max + 1):
         for j in range(n_max + 1):
             error = abs(Fraction(fl[i, j]) - exact[i][j])
@@ -138,6 +138,42 @@ def test_direct_invert_condition_refusal_and_override():
     assert result.condition_number > 1e12
 
 
+FIBER_LOOP_16 = 0.93 ** np.arange(16)
+
+
+@pytest.mark.parametrize(
+    "bins",
+    [uniform_bins(4), uniform_bins(8), uniform_bins(16), FIBER_LOOP_16 / FIBER_LOOP_16.sum()],
+    ids=["equal_4", "equal_8", "equal_16", "fiber_loop_16"],
+)
+def test_deconvolution_is_the_unit_efficiency_direct_inversion(bins):
+    c = convolution_matrix(bins, n_max=bins.size)
+    law = forward_model(coherent(1.5, n_max=40), 0.6, bins).probs
+    rng = np.random.default_rng(2025)
+    for _ in range(10):
+        clicks = CountHistogram(rng.multinomial(20_000, law)).to_click_distribution()
+        survivors = deconvolve_clicks(clicks.probs, c)
+        unit = direct_invert(clicks.probs, 1.0, c, allow_ill_conditioned=True)
+        assert np.array_equal(survivors, unit.rho)
+
+
+@pytest.mark.parametrize(
+    "solve",
+    [
+        deconvolve_clicks,
+        lambda f, c: direct_invert(f, 0.5, c),
+        lambda f, c: em_invert(f, 0.5, c, EmOptions(n_max=8)),
+    ],
+    ids=["deconvolve_clicks", "direct_invert", "em_invert"],
+)
+def test_every_solver_rejects_a_convolution_matrix_below_its_cutoff(solve):
+    # 8 bins need photon numbers to 8; this matrix stops at 4
+    c = convolution_matrix(uniform_bins(8), n_max=4)
+    clicks = forward_model(fock(1, n_max=4), 0.5, uniform_bins(8))
+    with pytest.raises(ShapeError):
+        solve(clicks.probs, c)
+
+
 def test_em_recovers_fock2_noiseless():
     # The maximizer is a simplex vertex, which multiplicative updates only
     # approach at rate ~1/iteration, so this run needs the tol = 0 mode and
@@ -175,7 +211,7 @@ def test_em_fixed_point_when_model_matches_data():
     # apply the EM update map once at the truth; click rows the model
     # cannot reach carry no data and are skipped, as in the solver
     clicks = c.matrix @ apply_loss(truth, 0.6).probs
-    response = c.matrix @ loss_matrix(0.6, 8).matrix
+    response = c.matrix @ loss_matrix(0.6, 8)
     model = response @ truth.probs
     ratio = np.zeros_like(clicks)
     live = model > 0

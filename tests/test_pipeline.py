@@ -21,6 +21,7 @@ from photonstats.calibration import CountHistogram
 from photonstats.heralding import HeraldConfig, TriggerKind
 from photonstats.montecarlo import Contaminant, ExperimentConfig
 from photonstats.detector import uniform_bins
+from photonstats.errors import DomainError
 from photonstats.pipeline import calibrate_histogram, run_pipeline, witness_tolerance
 
 SINGLE = HeraldConfig(kind=TriggerKind.SINGLE_APD, eta_trigger=0.25)
@@ -364,6 +365,50 @@ def test_pipeline_direct_refusal_is_a_warning(tmp_path):
     argv = ["pipeline", "--config", str(cfg), "--method", "direct", "--out-dir", str(tmp_path)]
     assert cli.main(argv) == 0
     assert cli.main(argv + ["--strict"]) == 1
+
+
+def test_pipeline_cutoff_refusal_is_a_warning(tmp_path, capsys):
+    # --n-max 3 cannot produce the 4-click events a coherent contaminant
+    # leaves, so EM refuses; the run still ends in a complete report
+    cfg = config_file(
+        tmp_path,
+        parametric_gain=0.14,
+        herald=HeraldConfig(kind=TriggerKind.SINGLE_APD, eta_trigger=0.9),
+        eta_signal=0.6,
+        contaminant=Contaminant("coherent", 0.5),
+        pulses=400_000,
+        seed=1,
+    )
+    out = tmp_path / "out"
+    argv = ["pipeline", "--config", str(cfg), "--n-max", "3", "--out-dir", str(out)]
+    assert cli.main(argv) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["efficiency"]["eta_for_inversion"] is not None
+    assert report["inversion"] is None and report["nonclassicality"] is None
+    refusal = (
+        "reconstruction refused (clicks observed at k=[4] which the detector "
+        "model cannot produce)"
+    )
+    assert refusal in report["warnings"]
+    assert f"warning: {refusal}" in capsys.readouterr().err.splitlines()
+    assert cli.main(argv + ["--strict"]) == 1
+    assert cli.main(argv + ["--method", "direct"]) == 0
+    # the same cutoff on a command run on user input stays an error
+    hist = out / "histogram_t1.csv"
+    capsys.readouterr()
+    code = cli.main(["invert", "--histogram", str(hist), "--eta", "0.6", "--n-max", "3",
+                     "--out-dir", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("photonstats: error: clicks observed at k=[4]")
+
+
+def test_pipeline_rejects_an_unknown_method_before_simulating(monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("simulated before checking the method")
+
+    monkeypatch.setattr(pipeline, "run", unreachable)
+    with pytest.raises(DomainError, match="unknown inversion method 'mle'"):
+        run_pipeline(single_config(), method="mle")
 
 
 def test_pipeline_calibration_refusal_is_a_warning(tmp_path):
